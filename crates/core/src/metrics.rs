@@ -10,8 +10,8 @@ use std::collections::HashMap;
 /// Telemetry of the transactional delta-simulation hot path, accumulated
 /// by [`crate::sim::Simulator`] across `apply`/`commit`/`rollback` calls
 /// and surfaced by the search loop (`flexflow search --verbose`). Makes
-/// the repair effort and the fallback safety valve observable instead of
-/// silent.
+/// the route each proposal took — sweep, repair, abandoned repair — and
+/// the repair effort observable instead of silent.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeltaTelemetry {
     /// Speculative proposals applied (`Simulator::apply`).
@@ -20,20 +20,25 @@ pub struct DeltaTelemetry {
     pub commits: u64,
     /// Transactions undone by journal replay (`Simulator::rollback`).
     pub rollbacks: u64,
-    /// Heap pops performed by delta repairs (the incremental work metric;
-    /// compare against task-graph size × applies for the full-sweep cost).
+    /// Heap pops performed by delta repairs, including the pops an
+    /// abandoned repair spent before it was swept (the incremental work
+    /// metric; compare against task-graph size × applies for the
+    /// full-sweep cost).
     pub repair_steps: u64,
-    /// Delta repairs that bailed out to a full re-simulation after
-    /// exhausting the repair budget (the safety valve).
+    /// Delta repairs abandoned for a sweep after exhausting their pop
+    /// budget — the dirty suffix they were admitted on.
     pub fallbacks: u64,
-    /// Delta calls that chose a journaled in-place full sweep up front
-    /// because the dirty timeline suffix covered most of the schedule
-    /// (the adaptive wide-proposal path; includes budget fallbacks).
+    /// Proposals evaluated by a sweep: chosen up front because the dirty
+    /// timeline suffix was too large a share of the schedule to repair, or
+    /// after an abandoned repair (so this includes `fallbacks`).
     pub sweeps: u64,
     /// Cumulative journal entries (graph slots + timeline slots) recorded
-    /// by all transactions.
+    /// by all transactions. Only a repair journals timeline slots; a sweep
+    /// sets the displaced timeline aside by a buffer swap and adds none.
     pub journal_slots: u64,
-    /// Largest single-transaction journal (graph + timeline entries).
+    /// Largest single-transaction journal (graph + timeline entries; a
+    /// swept proposal counts its graph entries only, plus whatever an
+    /// abandoned repair had journaled first).
     pub max_journal_depth: usize,
 }
 

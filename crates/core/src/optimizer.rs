@@ -995,7 +995,6 @@ impl ParallelSearch {
             mem_budget: self.mem_budget.clone(),
         }
     }
-
 }
 
 /// Builder-style description of one multi-chain MCMC search: every knob
@@ -1566,7 +1565,8 @@ mod tests {
         let run = || {
             let mut ps = ParallelSearch::with_chains(7, 4);
             ps.exchange_every = 16; // force several exchange rounds
-            ps.request().run(&g, &topo, &cost, &inits, budget, SimConfig::default())
+            ps.request()
+                .run(&g, &topo, &cost, &inits, budget, SimConfig::default())
         };
         let a = run();
         let b = run();
@@ -1822,7 +1822,9 @@ mod tests {
         );
         let mut ps = ParallelSearch::with_chains(9, 2);
         ps.max_microbatches = 6;
-        let inert = ps.request().run(&g, &topo, &cost, &inits, budget, SimConfig::default());
+        let inert = ps
+            .request()
+            .run(&g, &topo, &cost, &inits, budget, SimConfig::default());
         assert_eq!(
             disabled.best_cost_us.to_bits(),
             inert.best_cost_us.to_bits()
@@ -2168,7 +2170,10 @@ mod tests {
         // A zero-eval seed still escalates (treated as 1).
         assert_eq!(Budget::escalated(0, 0, 1_000_000).max_evals, 2);
         // Shift overflow saturates instead of wrapping.
-        assert_eq!(Budget::escalated(u64::MAX / 2, 63, u64::MAX).max_evals, u64::MAX);
+        assert_eq!(
+            Budget::escalated(u64::MAX / 2, 63, u64::MAX).max_evals,
+            u64::MAX
+        );
         // Escalated budgets keep the paper's patience defaults.
         assert_eq!(Budget::escalated(100, 0, 1_000).patience_fraction, 0.5);
     }

@@ -10,7 +10,31 @@
 //! creation sequence number; both algorithms use the same key, which makes
 //! their timelines identical ("The full and delta simulation algorithms
 //! always produce the same timeline for a given task graph", §5.3) — a
-//! property the test-suite checks exhaustively.
+//! property the test-suite checks bit for bit.
+//!
+//! # Sweep first
+//!
+//! A proposal is evaluated by one of two routes that end in the same
+//! timeline: a **sweep** (Algorithm 1 over the already-rebuilt task graph)
+//! or a **repair** (Algorithm 2 from the rebuild's dirty set).
+//! [`simulate_delta_with`] picks before it touches the timeline. It
+//! estimates the dirty suffix — scheduled tasks ending at or after the
+//! earliest dirty ready time, on the islands the rebuild touched — and
+//! repairs only when [`REPAIR_ADMIT_RATIO`]` × suffix < tasks`. An admitted
+//! repair may pop as many tasks as that suffix; one that needs more is
+//! re-processing waves (a task is re-popped once per predecessor whose end
+//! time moved), is abandoned, and the proposal is swept: the pops lost are
+//! a fraction of the sweep that follows.
+//!
+//! The sweep is **double-buffered**: it fills a spare timeline kept in the
+//! caller's [`DeltaScratch`] and swaps it with the live one. Inside a
+//! transaction the displaced timeline is set aside whole, so a sweep
+//! journals no slot, commit hands the displaced buffers back to the
+//! scratch, and rollback swaps them back in (then undoes the slots an
+//! abandoned repair had touched). Execution units are dense indices, every
+//! per-sweep array is reused across proposals, and per-unit FIFO orders
+//! are appended in sweep order; a repair turns the orders of the units it
+//! touches into B-trees on first use.
 //!
 //! # Hierarchical timelines
 //!
@@ -24,29 +48,122 @@
 //! cross-island heap operation per task. The horizon changes only the
 //! *processing order* of the fixpoint iteration — never its result: the
 //! repair runs until no task's times would change, and that fixpoint is
-//! the unique full-simulation timeline. Flat topologies and `m = 1`
-//! strategies therefore simulate bit-identically to the pre-island code.
+//! the unique full-simulation timeline.
 //!
-//! Alongside the island frontier, the two whole-timeline scans the repair
-//! used to pay per proposal — the makespan recomputation and the dirty-
-//! suffix estimate — are replaced by per-unit walks that exploit the
-//! FIFO monotonicity of end times (`O(units)` and `O(suffix + units)`),
-//! so the cost of evaluating a proposal confined to one island no longer
-//! grows with the total task count of the other 63.
+//! The makespan recomputation and the dirty-suffix estimate are per-unit
+//! walks that exploit the FIFO monotonicity of end times (`O(units)` and
+//! `O(suffix + units)`), so the cost of evaluating a proposal confined to
+//! one island does not grow with the task count of the other 63.
 
 use crate::metrics::DeltaTelemetry;
 use crate::taskgraph::{ExecUnit, RebuildReport, TaskGraph, TaskId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 pub use crate::taskgraph::SimConfig;
 
-/// Order key for the ready queue and the per-unit FIFO order.
-///
+/// `(ready, seq)` order key of the ready queues and the per-unit FIFO
+/// orders (`ready` as sort bits).
+type OrderKey = (u64, u128);
+
 /// Times are finite and non-negative, so `f64::to_bits` is order-preserving.
-fn key(ready: f64, seq: u128) -> (u64, u128) {
+fn key(ready: f64, seq: u128) -> OrderKey {
     debug_assert!(ready >= 0.0 && ready.is_finite());
     (ready.to_bits(), seq)
+}
+
+/// Dense index of an execution unit: devices on the even numbers, links on
+/// the odd ones, so the timeline's per-unit tables are plain vectors.
+fn unit_index(unit: ExecUnit) -> usize {
+    match unit {
+        ExecUnit::Gpu(d) => 2 * d.index(),
+        ExecUnit::Link(l) => 2 * l.index() + 1,
+    }
+}
+
+/// `Timeline::unit_of` of a slot that is not scheduled.
+const UNSCHEDULED: u32 = u32::MAX;
+
+/// Execution order of one unit. A sweep appends to `fifo`; the first
+/// repair that touches the unit moves the entries into `tree`, keyed by
+/// `(ready, seq)`, so it can reposition a task in `O(log n)` — heavy
+/// proposals put hundreds of thousands of communication tasks on one link
+/// queue. At most one of the two is non-empty.
+#[derive(Debug, Clone, Default)]
+struct UnitOrder {
+    /// The unit and its island, recorded when a task is scheduled here (a
+    /// pure function of the topology, so never stale and never journaled).
+    unit: Option<ExecUnit>,
+    island: u32,
+    fifo: Vec<TaskId>,
+    tree: BTreeMap<OrderKey, TaskId>,
+}
+
+impl UnitOrder {
+    fn iter(&self) -> impl DoubleEndedIterator<Item = TaskId> + '_ {
+        self.fifo.iter().chain(self.tree.values()).copied()
+    }
+}
+
+/// The simulated schedule proper: what a sweep rewrites wholesale and the
+/// double buffer swaps.
+#[derive(Debug, Clone, Default)]
+struct Timeline {
+    ready: Vec<f64>,
+    start: Vec<f64>,
+    end: Vec<f64>,
+    /// Dense index of the unit each slot is scheduled on ([`UNSCHEDULED`]
+    /// for free slots). Kept per slot, like `seq`, so a slot recycled to a
+    /// *new* task by a rebuild can still be unscheduled from its old
+    /// position.
+    unit_of: Vec<u32>,
+    /// The `seq` each slot was scheduled under; with `ready` it is the
+    /// slot's FIFO key.
+    seq: Vec<u128>,
+    /// Execution order per dense unit index.
+    orders: Vec<UnitOrder>,
+    makespan: f64,
+}
+
+impl Timeline {
+    /// The order of unit `u` as a B-tree, converting it on first use.
+    fn tree(&mut self, u: usize) -> &mut BTreeMap<OrderKey, TaskId> {
+        let order = &mut self.orders[u];
+        if !order.fifo.is_empty() {
+            let (ready, seq) = (&self.ready, &self.seq);
+            order.tree = order
+                .fifo
+                .drain(..)
+                .map(|id| (key(ready[id.index()], seq[id.index()]), id))
+                .collect();
+        }
+        &mut order.tree
+    }
+
+    /// When a task with these predecessors is ready: the latest of their
+    /// end times (0 with none).
+    fn ready_after<'a>(&self, preds: impl IntoIterator<Item = &'a TaskId>) -> f64 {
+        preds
+            .into_iter()
+            .map(|p| self.end[p.index()])
+            .fold(0.0, f64::max)
+    }
+
+    /// The order of unit `u`, empty for a unit that never ran a task.
+    fn order(&self, u: usize) -> impl DoubleEndedIterator<Item = TaskId> + '_ {
+        self.orders.get(u).into_iter().flat_map(UnitOrder::iter)
+    }
+
+    /// The dense index of `unit`, with its order's table entry in place.
+    fn touch_unit(&mut self, unit: ExecUnit, island: u32) -> usize {
+        let u = unit_index(unit);
+        if self.orders.len() <= u {
+            self.orders.resize_with(u + 1, UnitOrder::default);
+        }
+        self.orders[u].unit = Some(unit);
+        self.orders[u].island = island;
+        u
+    }
 }
 
 /// First-touch snapshot of one timeline slot (see [`SimState::begin_txn`]).
@@ -55,62 +172,40 @@ struct SlotSave {
     ready: f64,
     start: f64,
     end: f64,
-    unit: Option<ExecUnit>,
-    key: (u64, u128),
+    unit: u32,
+    seq: u128,
 }
 
 /// Undo journal of one open timeline transaction.
 #[derive(Debug, Clone, Default)]
 struct SimJournal {
-    /// First-touch per-slot snapshots, in touch order.
+    /// First-touch per-slot snapshots made by a repair, in touch order.
     slots: Vec<(u32, SlotSave)>,
     /// Array length, makespan and fallback counter at `begin_txn`.
     len: usize,
     makespan: f64,
     fallbacks: u64,
-    /// Set when a delta repair fell back to a full re-simulation mid-txn:
-    /// the whole pre-transaction state, reconstructed before the sweep
-    /// overwrote it (fallbacks are rare, so the one-off clone is cheap
-    /// amortized).
-    full: Option<Box<SimState>>,
+    /// The timeline a sweep displaced: the pre-transaction one, except for
+    /// the slots an abandoned repair had already touched (those are in
+    /// `slots`). Once set, nothing further is journaled — the live
+    /// timeline is discarded whole on rollback.
+    displaced: Option<Timeline>,
 }
 
 /// Simulation-time state: per-task times and per-unit execution order.
 ///
-/// Unit orders are B-trees keyed by `(ready, seq)`, so delta repairs
-/// reposition a task in `O(log n)` — heavy proposals can add or move
-/// hundreds of thousands of communication tasks on one link queue.
-///
 /// Supports transactions mirroring [`TaskGraph::begin_txn`]: between
-/// [`SimState::begin_txn`] and [`SimState::rollback_txn`], every slot
-/// mutation made by [`simulate_delta`] records its first-touch prior
-/// value, so a rejected proposal's timeline is undone by journal replay
-/// instead of a second repair or a clone.
+/// [`SimState::begin_txn`] and [`SimState::rollback_txn`], a repair
+/// records the first-touch prior value of every slot it mutates and a
+/// sweep sets the displaced timeline aside whole, so a rejected proposal's
+/// timeline is undone by journal replay or a buffer swap instead of a
+/// second simulation or a clone.
 #[derive(Debug, Clone, Default)]
 pub struct SimState {
-    ready: Vec<f64>,
-    start: Vec<f64>,
-    end: Vec<f64>,
-    /// Scheduled unit of each live slot (mirrors the task's unit; kept here
-    /// so delta updates can unschedule slots whose task has been replaced).
-    unit_of: Vec<Option<ExecUnit>>,
-    /// The FIFO key each slot was scheduled under. Kept per slot (rather
-    /// than recomputed from the task) so a slot recycled to a *new* task by
-    /// a rebuild can still be unscheduled from its old position.
-    sched_key: Vec<(u64, u128)>,
-    /// Execution order per unit, sorted by `(ready, seq)`. Invariant: no
-    /// empty per-unit maps (unschedule prunes them), so a rollback can
-    /// restore the map set exactly.
-    unit_order: HashMap<ExecUnit, BTreeMap<(u64, u128), TaskId>>,
-    /// Island of each unit ever scheduled on. A pure function of the
-    /// topology, so the cache only grows, is never stale, and needs no
-    /// journaling; excluded from equality like the other plumbing.
-    unit_island: HashMap<ExecUnit, u32>,
-    makespan: f64,
-    /// Number of times the delta algorithm bailed out to a full
-    /// re-simulation because incremental repair would have cost more than
-    /// a from-scratch sweep (deep dependency chains; see
-    /// [`simulate_delta`]). Timelines stay exact either way. Restored on
+    tl: Timeline,
+    /// Number of delta repairs abandoned for a sweep because they needed
+    /// more pops than the dirty suffix they were admitted on (see the
+    /// module docs). Timelines stay exact either way. Restored on
     /// rollback; [`Simulator`] keeps the cumulative count in its
     /// [`DeltaTelemetry`].
     pub fallbacks: u64,
@@ -121,45 +216,42 @@ pub struct SimState {
     epoch: u64,
 }
 
-/// Equality over the logical timeline (times, FIFO orders, makespan,
-/// fallback count). Transaction plumbing (journal, epochs) is excluded.
+/// Equality over the logical timeline: which slots are scheduled where,
+/// their times and FIFO keys, the per-unit orders, makespan and fallback
+/// count. Transaction plumbing, the contents of free slots and whether an
+/// order is held as a list or a tree are excluded.
 impl PartialEq for SimState {
     fn eq(&self, other: &Self) -> bool {
-        self.makespan == other.makespan
+        let (a, b) = (&self.tl, &other.tl);
+        let scheduled_eq = |i: usize| {
+            a.unit_of[i] == UNSCHEDULED
+                || (a.ready[i] == b.ready[i]
+                    && a.start[i] == b.start[i]
+                    && a.end[i] == b.end[i]
+                    && a.seq[i] == b.seq[i])
+        };
+        a.makespan == b.makespan
             && self.fallbacks == other.fallbacks
-            && self.ready == other.ready
-            && self.start == other.start
-            && self.end == other.end
-            && self.unit_of == other.unit_of
-            && self.sched_key == other.sched_key
-            && self.unit_order == other.unit_order
+            && a.unit_of == b.unit_of
+            && (0..a.unit_of.len()).all(scheduled_eq)
+            && (0..a.orders.len().max(b.orders.len())).all(|u| a.order(u).eq(b.order(u)))
     }
 }
 
 impl SimState {
-    fn with_capacity(cap: usize) -> Self {
-        Self {
-            ready: vec![0.0; cap],
-            start: vec![0.0; cap],
-            end: vec![0.0; cap],
-            unit_of: vec![None; cap],
-            sched_key: vec![(0, 0); cap],
-            ..Self::default()
-        }
-    }
-
     fn ensure_capacity(&mut self, cap: usize) {
-        if self.ready.len() < cap {
-            self.ready.resize(cap, 0.0);
-            self.start.resize(cap, 0.0);
-            self.end.resize(cap, 0.0);
-            self.unit_of.resize(cap, None);
-            self.sched_key.resize(cap, (0, 0));
+        let tl = &mut self.tl;
+        if tl.ready.len() < cap {
+            tl.ready.resize(cap, 0.0);
+            tl.start.resize(cap, 0.0);
+            tl.end.resize(cap, 0.0);
+            tl.unit_of.resize(cap, UNSCHEDULED);
+            tl.seq.resize(cap, 0);
         }
     }
 
-    /// Opens a transaction: subsequent [`simulate_delta`] mutations are
-    /// journaled until [`SimState::commit_txn`] or
+    /// Opens a transaction: subsequent [`simulate_delta_with`] mutations
+    /// can be undone until [`SimState::commit_txn`] or
     /// [`SimState::rollback_txn`]. Journal-free (zero overhead) otherwise.
     ///
     /// # Panics
@@ -169,33 +261,38 @@ impl SimState {
         assert!(self.journal.is_none(), "timeline txn already open");
         self.epoch += 1;
         self.journal = Some(SimJournal {
-            len: self.ready.len(),
-            makespan: self.makespan,
+            len: self.tl.ready.len(),
+            makespan: self.tl.makespan,
             fallbacks: self.fallbacks,
             ..SimJournal::default()
         });
     }
 
-    /// Closes the open transaction, keeping the repaired timeline.
+    /// Closes the open transaction, keeping the new timeline. The buffers
+    /// of a timeline a sweep displaced go to `scratch` for the next sweep.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
-    pub fn commit_txn(&mut self) {
-        assert!(self.journal.take().is_some(), "no timeline txn open");
+    pub fn commit_txn(&mut self, scratch: &mut DeltaScratch) {
+        let j = self.journal.take().expect("no timeline txn open");
+        if let Some(displaced) = j.displaced {
+            scratch.spare = displaced;
+        }
     }
 
-    /// Closes the open transaction by replaying its journal backwards,
-    /// restoring the timeline to its exact `begin_txn` state.
+    /// Closes the open transaction, restoring the timeline to its exact
+    /// `begin_txn` state: a displaced timeline is swapped back in (the
+    /// discarded one's buffers go to `scratch`), then the slot journal is
+    /// replayed backwards.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
-    pub fn rollback_txn(&mut self) {
-        let j = self.journal.take().expect("no timeline txn open");
-        if let Some(pre) = j.full {
-            *self = *pre;
-            return;
+    pub fn rollback_txn(&mut self, scratch: &mut DeltaScratch) {
+        let mut j = self.journal.take().expect("no timeline txn open");
+        if let Some(displaced) = j.displaced.take() {
+            scratch.spare = std::mem::replace(&mut self.tl, displaced);
         }
         self.apply_undo(&j);
     }
@@ -205,60 +302,57 @@ impl SimState {
         self.journal.is_some()
     }
 
-    /// Slots journaled by the open transaction (0 when none is open).
+    /// Timeline slots journaled by the open transaction (0 when none is
+    /// open). Only a repair journals slots; a sweep displaces the whole
+    /// timeline by a swap and saves none, so a swept proposal reads 0 here
+    /// (or, after an abandoned repair, the slots that repair had touched).
     pub fn journal_depth(&self) -> usize {
-        // A whole-state snapshot (the sweep/fallback path) journals every
-        // timeline slot at once; report it as such so the heaviest
-        // transactions are not invisible in the depth telemetry.
-        self.journal.as_ref().map_or(0, |j| {
-            j.full.as_ref().map_or(j.slots.len(), |pre| pre.ready.len())
-        })
+        self.journal.as_ref().map_or(0, |j| j.slots.len())
     }
 
-    /// Replays an undo journal against `self` (shared by rollback and the
-    /// pre-state reconstruction of the fallback path).
+    /// Replays the slot journal against the timeline it was recorded on.
     fn apply_undo(&mut self, j: &SimJournal) {
+        let tl = &mut self.tl;
         // Phase 1: clear the *current* FIFO entry of every touched slot.
+        // (Every unit with a touched slot was converted to a tree when the
+        // repair first reached it.)
         for &(i, _) in &j.slots {
             let i = i as usize;
-            if let Some(unit) = self.unit_of[i] {
-                let k = self.sched_key[i];
-                if let Some(order) = self.unit_order.get_mut(&unit) {
-                    order.remove(&k);
-                    if order.is_empty() {
-                        self.unit_order.remove(&unit);
-                    }
-                }
+            let u = tl.unit_of[i];
+            if u != UNSCHEDULED {
+                let k = key(tl.ready[i], tl.seq[i]);
+                tl.tree(u as usize).remove(&k);
             }
         }
         // Phase 2: restore the saved fields and FIFO entries.
         for &(i, s) in &j.slots {
             let idx = i as usize;
-            self.ready[idx] = s.ready;
-            self.start[idx] = s.start;
-            self.end[idx] = s.end;
-            self.unit_of[idx] = s.unit;
-            self.sched_key[idx] = s.key;
-            if let Some(unit) = s.unit {
-                self.unit_order
-                    .entry(unit)
-                    .or_default()
-                    .insert(s.key, TaskId(i));
+            tl.ready[idx] = s.ready;
+            tl.start[idx] = s.start;
+            tl.end[idx] = s.end;
+            tl.unit_of[idx] = s.unit;
+            tl.seq[idx] = s.seq;
+            if s.unit != UNSCHEDULED {
+                tl.tree(s.unit as usize)
+                    .insert(key(s.ready, s.seq), TaskId(i));
             }
         }
-        self.ready.truncate(j.len);
-        self.start.truncate(j.len);
-        self.end.truncate(j.len);
-        self.unit_of.truncate(j.len);
-        self.sched_key.truncate(j.len);
-        self.makespan = j.makespan;
+        tl.ready.truncate(j.len);
+        tl.start.truncate(j.len);
+        tl.end.truncate(j.len);
+        tl.unit_of.truncate(j.len);
+        tl.seq.truncate(j.len);
+        tl.makespan = j.makespan;
         self.fallbacks = j.fallbacks;
     }
 
     /// Journals slot `i` once per transaction, before its first mutation.
     #[inline]
     fn save_slot(&mut self, i: usize) {
-        if self.journal.is_none() {
+        let Some(j) = self.journal.as_mut() else {
+            return;
+        };
+        if j.displaced.is_some() {
             return;
         }
         if self.slot_epoch.len() <= i {
@@ -268,23 +362,20 @@ impl SimState {
             return;
         }
         self.slot_epoch[i] = self.epoch;
+        let tl = &self.tl;
         let save = SlotSave {
-            ready: self.ready[i],
-            start: self.start[i],
-            end: self.end[i],
-            unit: self.unit_of[i],
-            key: self.sched_key[i],
+            ready: tl.ready[i],
+            start: tl.start[i],
+            end: tl.end[i],
+            unit: tl.unit_of[i],
+            seq: tl.seq[i],
         };
-        self.journal
-            .as_mut()
-            .expect("txn open")
-            .slots
-            .push((i as u32, save));
+        j.slots.push((i as u32, save));
     }
 
     /// The simulated per-iteration execution time in microseconds.
     pub fn makespan_us(&self) -> f64 {
-        self.makespan
+        self.tl.makespan
     }
 
     /// `(readyTime, startTime, endTime)` of a task.
@@ -293,93 +384,73 @@ impl SimState {
     ///
     /// Panics if the slot was never simulated.
     pub fn times(&self, id: TaskId) -> (f64, f64, f64) {
-        assert!(
-            self.unit_of[id.index()].is_some(),
-            "task {id} is not scheduled"
-        );
-        (
-            self.ready[id.index()],
-            self.start[id.index()],
-            self.end[id.index()],
-        )
+        let (tl, i) = (&self.tl, id.index());
+        assert!(tl.unit_of[i] != UNSCHEDULED, "task {id} is not scheduled");
+        (tl.ready[i], tl.start[i], tl.end[i])
     }
 
     /// The execution order of a unit (empty if the unit never ran a task).
     pub fn order(&self, unit: ExecUnit) -> Vec<TaskId> {
-        self.unit_order
-            .get(&unit)
-            .map(|m| m.values().copied().collect())
-            .unwrap_or_default()
+        self.tl.order(unit_index(unit)).collect()
     }
 
-    /// All units that executed at least one task.
+    /// All units that execute at least one task.
     pub fn units(&self) -> impl Iterator<Item = ExecUnit> + '_ {
-        self.unit_order.keys().copied()
+        self.tl
+            .orders
+            .iter()
+            .filter(|o| o.iter().next().is_some())
+            .filter_map(|o| o.unit)
     }
 
     /// Removes `id` from its unit order; returns its old follower (whose
     /// `preTask` changed), if any. Works even when the slot has been
-    /// recycled to a new task, thanks to the stored schedule key. Empty
-    /// per-unit maps are pruned (rollback relies on this invariant).
+    /// recycled to a new task, thanks to the stored schedule key.
     fn unschedule(&mut self, id: TaskId) -> Option<TaskId> {
-        self.save_slot(id.index());
-        let unit = self.unit_of[id.index()]
-            .take()
-            .unwrap_or_else(|| panic!("unscheduling unscheduled task {id}"));
-        let k = self.sched_key[id.index()];
-        let order = self.unit_order.get_mut(&unit).expect("unit has an order");
+        let i = id.index();
+        self.save_slot(i);
+        let tl = &mut self.tl;
+        let u = std::mem::replace(&mut tl.unit_of[i], UNSCHEDULED);
+        assert!(u != UNSCHEDULED, "unscheduling unscheduled task {id}");
+        let k = key(tl.ready[i], tl.seq[i]);
+        let order = tl.tree(u as usize);
         let removed = order.remove(&k);
         debug_assert_eq!(removed, Some(id));
-        let follower = order
-            .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(_, &t)| t);
-        if order.is_empty() {
-            self.unit_order.remove(&unit);
-        }
-        follower
+        order.range(k..).next().map(|(_, &t)| t)
     }
 
     /// Inserts `id` into its unit order at the position dictated by
     /// `(ready, seq)`; returns the task that follows it (whose `preTask`
     /// changed), if any.
-    fn schedule(
-        &mut self,
-        tg: &TaskGraph,
-        id: TaskId,
-        unit: ExecUnit,
-        ready: f64,
-    ) -> Option<TaskId> {
-        self.save_slot(id.index());
-        let k = key(ready, tg.task(id).seq);
-        self.unit_island
-            .entry(unit)
-            .or_insert_with(|| tg.task(id).island);
-        self.unit_of[id.index()] = Some(unit);
-        self.ready[id.index()] = ready;
-        self.sched_key[id.index()] = k;
-        let order = self.unit_order.entry(unit).or_default();
-        let prior = order.insert(k, id);
+    fn schedule(&mut self, tg: &TaskGraph, id: TaskId, ready: f64) -> Option<TaskId> {
+        let i = id.index();
+        self.save_slot(i);
+        let (t, tl) = (tg.task(id), &mut self.tl);
+        let u = tl.touch_unit(t.unit, t.island);
+        tl.unit_of[i] = u as u32;
+        tl.ready[i] = ready;
+        tl.seq[i] = t.seq;
+        let prior = tl.tree(u).insert(key(ready, t.seq), id);
         debug_assert!(prior.is_none(), "duplicate FIFO key");
-        order
-            .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(_, &t)| t)
+        self.next_of(i, u)
     }
 
-    /// End time of the task preceding `id` on its unit (0 when first).
-    fn pre_end(&self, id: TaskId, unit: ExecUnit) -> f64 {
-        let k = self.sched_key[id.index()];
-        self.unit_order[&unit]
-            .range(..k)
-            .next_back()
-            .map_or(0.0, |(_, &pre)| self.end[pre.index()])
+    /// End time of the task preceding slot `i` on its unit `u` (0 when
+    /// first).
+    fn pre_end(&mut self, i: usize, u: usize) -> f64 {
+        let tl = &mut self.tl;
+        let k = key(tl.ready[i], tl.seq[i]);
+        let pre = tl.tree(u).range(..k).next_back().map(|(_, &pre)| pre);
+        pre.map_or(0.0, |pre| tl.end[pre.index()])
     }
 
-    /// The task following `id` on its unit.
-    fn next_of(&self, id: TaskId, unit: ExecUnit) -> Option<TaskId> {
-        let k = self.sched_key[id.index()];
-        self.unit_order[&unit]
+    /// The task following slot `i` on its unit `u`, whose order a repair
+    /// has already reached (it is a tree).
+    fn next_of(&self, i: usize, u: usize) -> Option<TaskId> {
+        let tl = &self.tl;
+        let k = key(tl.ready[i], tl.seq[i]);
+        tl.orders[u]
+            .tree
             .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
             .next()
             .map(|(_, &t)| t)
@@ -391,11 +462,12 @@ impl SimState {
     /// entry's end time. Exact — every live task is scheduled on some
     /// unit once a repair reaches its fixpoint.
     fn recompute_makespan(&mut self) {
-        self.makespan = self
-            .unit_order
-            .values()
-            .filter_map(|order| order.values().next_back())
-            .map(|&id| self.end[id.index()])
+        let tl = &mut self.tl;
+        tl.makespan = tl
+            .orders
+            .iter()
+            .filter_map(|order| order.iter().next_back())
+            .map(|id| tl.end[id.index()])
             .fold(0.0, f64::max);
     }
 
@@ -409,65 +481,155 @@ impl SimState {
     /// `dirty` are counted: a repair seeded entirely inside one island
     /// mostly stays there (frontier tightening stops propagation at
     /// settled times), so remote islands' schedules should not push the
-    /// crossover toward a full sweep. The estimate errs toward repair;
-    /// the step budget still bounds the rare spill-over.
+    /// decision toward a sweep. The estimate errs toward repair; the pop
+    /// budget bounds the rare spill-over. (An order left empty in buffers
+    /// recycled from another topology may name an island this one lacks.)
     fn suffix_len(&self, t_min: f64, dirty: &[bool], all_islands: bool) -> usize {
-        let mut n = 0;
-        for (unit, order) in &self.unit_order {
-            if !all_islands && !dirty[self.unit_island[unit] as usize] {
-                continue;
-            }
-            for &id in order.values().rev() {
-                if self.end[id.index()] >= t_min {
-                    n += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        n
+        let tl = &self.tl;
+        tl.orders
+            .iter()
+            .filter(|o| all_islands || dirty.get(o.island as usize) == Some(&true))
+            .map(|o| {
+                o.iter()
+                    .rev()
+                    .take_while(|id| tl.end[id.index()] >= t_min)
+                    .count()
+            })
+            .sum()
     }
 }
 
-/// The full simulation algorithm (paper Algorithm 1): a Dijkstra-style
-/// sweep that dequeues tasks in `(readyTime, seq)` order and appends each
-/// to its device's FIFO.
-pub fn simulate_full(tg: &TaskGraph) -> SimState {
-    let cap = tg.capacity();
-    let mut state = SimState::with_capacity(cap);
-    let mut remaining: Vec<usize> = vec![0; cap];
-    let mut heap: BinaryHeap<Reverse<((u64, u128), TaskId)>> = BinaryHeap::new();
-    for (id, t) in tg.iter() {
-        remaining[id.index()] = t.preds.len();
-        if t.preds.is_empty() {
-            state.ready[id.index()] = 0.0;
-            heap.push(Reverse((key(0.0, t.seq), id)));
-        }
+/// Min-heap of the sweep's ready tasks in `(ready, seq)` order. An entry
+/// is `(ready bits, slot)` — 16 bytes; the `seq` half of the key stays in
+/// the timeline's side array and is read only to break a tie.
+#[derive(Debug, Default)]
+struct ReadyHeap(Vec<(u64, u32)>);
+
+impl ReadyHeap {
+    #[inline]
+    fn before(a: (u64, u32), b: (u64, u32), seq: &[u128]) -> bool {
+        a.0 < b.0 || (a.0 == b.0 && seq[a.1 as usize] < seq[b.1 as usize])
     }
-    let mut last_end: HashMap<ExecUnit, f64> = HashMap::new();
+
+    fn push(&mut self, entry: (u64, u32), seq: &[u128]) {
+        let v = &mut self.0;
+        let mut i = v.len();
+        v.push(entry);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(entry, v[parent], seq) {
+                break;
+            }
+            v[i] = v[parent];
+            i = parent;
+        }
+        v[i] = entry;
+    }
+
+    fn pop(&mut self, seq: &[u128]) -> Option<(u64, u32)> {
+        let v = &mut self.0;
+        let last = v.pop()?;
+        let Some(&top) = v.first() else {
+            return Some(last);
+        };
+        // Sift `last` down from the root.
+        let (mut i, n) = (0, v.len());
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && Self::before(v[child + 1], v[child], seq) {
+                child += 1;
+            }
+            if !Self::before(v[child], last, seq) {
+                break;
+            }
+            v[i] = v[child];
+            i = child;
+        }
+        v[i] = last;
+        Some(top)
+    }
+}
+
+/// Per-sweep working arrays, reused across sweeps.
+#[derive(Debug, Default)]
+struct SweepWork {
+    /// Unfinished predecessors per slot.
+    remaining: Vec<u32>,
+    /// Per slot: `exe_us` and where its successors sit in `succs`.
+    tasks: Vec<(f64, std::ops::Range<u32>)>,
+    /// Every successor list, flattened. The sweep visits tasks in time
+    /// order, not slot order; reading successors from one flat array
+    /// instead of each task's own allocation is what keeps a 200k-task
+    /// sweep out of main memory.
+    succs: Vec<TaskId>,
+    /// When each unit finishes the last task appended to its order.
+    free_at: Vec<f64>,
+    heap: ReadyHeap,
+}
+
+/// The full simulation algorithm (paper Algorithm 1) into `tl`'s buffers:
+/// a Dijkstra-style sweep that dequeues tasks in `(readyTime, seq)` order
+/// and appends each to its unit's FIFO. Whatever `tl` held is overwritten;
+/// nothing is allocated once the buffers have grown to the graph's size.
+fn sweep_into(tg: &TaskGraph, tl: &mut Timeline, work: &mut SweepWork) {
+    let cap = tg.capacity();
+    tl.ready.clear();
+    tl.ready.resize(cap, 0.0);
+    tl.start.resize(cap, 0.0);
+    tl.end.resize(cap, 0.0);
+    tl.unit_of.clear();
+    tl.unit_of.resize(cap, UNSCHEDULED);
+    tl.seq.resize(cap, 0);
+    for order in &mut tl.orders {
+        order.fifo.clear();
+        order.tree.clear();
+    }
+    work.remaining.resize(cap, 0);
+    work.tasks.resize(cap, (0.0, 0..0));
+    work.succs.clear();
+    work.heap.0.clear();
+    for (id, t) in tg.iter() {
+        let i = id.index();
+        tl.unit_of[i] = tl.touch_unit(t.unit, t.island) as u32;
+        tl.seq[i] = t.seq;
+        work.remaining[i] = t.preds.len() as u32;
+        if t.preds.is_empty() {
+            work.heap.0.push((0.0f64.to_bits(), id.0));
+        }
+        let first = work.succs.len() as u32;
+        work.succs.extend_from_slice(&t.succs);
+        work.tasks[i] = (t.exe_us, first..work.succs.len() as u32);
+    }
+    // The roots are all ready at 0: sorted by `seq` they form a heap.
+    work.heap
+        .0
+        .sort_unstable_by_key(|&(_, slot)| tl.seq[slot as usize]);
+    work.free_at.clear();
+    work.free_at.resize(tl.orders.len(), 0.0);
+
+    let mut makespan = 0.0f64;
     let mut processed = 0usize;
-    while let Some(Reverse((_, id))) = heap.pop() {
-        let t = tg.task(id);
-        let ready = state.ready[id.index()];
-        let free_at = last_end.get(&t.unit).copied().unwrap_or(0.0);
-        let start = ready.max(free_at);
-        let end = start + t.exe_us;
-        state.start[id.index()] = start;
-        state.end[id.index()] = end;
-        last_end.insert(t.unit, end);
-        let k = key(ready, t.seq);
-        state.sched_key[id.index()] = k;
-        state.unit_order.entry(t.unit).or_default().insert(k, id);
-        state.unit_island.entry(t.unit).or_insert(t.island);
-        state.unit_of[id.index()] = Some(t.unit);
-        state.makespan = state.makespan.max(end);
+    while let Some((ready_bits, slot)) = work.heap.pop(&tl.seq) {
+        let i = slot as usize;
+        let u = tl.unit_of[i] as usize;
+        let start = f64::from_bits(ready_bits).max(work.free_at[u]);
+        let (exe_us, ref succs) = work.tasks[i];
+        let end = start + exe_us;
+        tl.start[i] = start;
+        tl.end[i] = end;
+        work.free_at[u] = end;
+        tl.orders[u].fifo.push(TaskId(slot));
+        makespan = makespan.max(end);
         processed += 1;
-        for &s in &t.succs {
+        for &s in &work.succs[succs.start as usize..succs.end as usize] {
             let si = s.index();
-            state.ready[si] = state.ready[si].max(end);
-            remaining[si] -= 1;
-            if remaining[si] == 0 {
-                heap.push(Reverse((key(state.ready[si], tg.task(s).seq), s)));
+            tl.ready[si] = tl.ready[si].max(end);
+            work.remaining[si] -= 1;
+            if work.remaining[si] == 0 {
+                work.heap.push((tl.ready[si].to_bits(), s.0), &tl.seq);
             }
         }
     }
@@ -476,20 +638,23 @@ pub fn simulate_full(tg: &TaskGraph) -> SimState {
         tg.num_tasks(),
         "task graph has a cycle or dangling dependency"
     );
+    tl.makespan = makespan;
+}
+
+/// The full simulation algorithm (paper Algorithm 1) into a fresh state.
+pub fn simulate_full(tg: &TaskGraph) -> SimState {
+    let mut state = SimState::default();
+    sweep_into(tg, &mut state.tl, &mut SweepWork::default());
     state
 }
 
-/// `(ready, seq)` ordering key of a queued repair task (`ready` as sort
-/// bits, see [`key`]).
-type RepairKey = (u64, u128);
-
 /// One island's repair queue: a min-heap of queued tasks in key order.
-type IslandQueue = BinaryHeap<Reverse<(RepairKey, TaskId)>>;
+type IslandQueue = BinaryHeap<Reverse<(OrderKey, TaskId)>>;
 
-/// Reusable workspace for [`simulate_delta_with`]: the repair heap and the
-/// queued-dedup marker survive across calls, so steady-state repairs do no
-/// per-call allocation proportional to graph capacity. Owned per
-/// [`Simulator`].
+/// Reusable workspace for [`simulate_delta_with`]: the repair queues and
+/// their dedup markers, the sweep's working arrays and the spare timeline
+/// of the double buffer survive across calls, so steady-state proposals do
+/// no allocation proportional to graph capacity. Owned per [`Simulator`].
 ///
 /// # Threading contract
 ///
@@ -509,7 +674,7 @@ pub struct DeltaScratch {
     /// Frontier heap over the islands: one `(key, island)` entry per task
     /// push. Entries whose task was already consumed by a horizon drain
     /// are cancelled lazily via `drained`.
-    active: BinaryHeap<Reverse<(RepairKey, u32)>>,
+    active: BinaryHeap<Reverse<(OrderKey, u32)>>,
     /// Per-island count of tasks consumed by horizon drains whose frontier
     /// entries are still in `active` (lazy deletion).
     drained: Vec<u64>,
@@ -517,11 +682,18 @@ pub struct DeltaScratch {
     cur_island: Option<usize>,
     /// `queued[i] == epoch` → slot `i` is currently in a repair queue.
     queued: Vec<u64>,
+    /// `added[i] == epoch` → slot `i` is in this call's `report.added`.
+    added: Vec<u64>,
     epoch: u64,
+    /// Islands this call's rebuild touched (the admission estimate).
+    dirty: Vec<bool>,
+    /// The double buffer's other half: the next sweep writes here.
+    spare: Timeline,
+    sweep: SweepWork,
     /// Queue pops performed by the most recent repair (telemetry).
     pub last_repair_steps: u64,
-    /// Whether the most recent call chose an in-place full sweep over
-    /// incremental repair (the adaptive wide-proposal path; telemetry).
+    /// Whether the most recent call swept instead of (or after abandoning)
+    /// an incremental repair (telemetry).
     pub last_was_sweep: bool,
 }
 
@@ -535,6 +707,23 @@ pub struct DeltaScratch {
 /// whose outcome is independent of processing order).
 pub const REPAIR_HORIZON_US: f64 = 25.0;
 
+/// Repair-vs-sweep crossover: a proposal is repaired only when this many
+/// times its dirty suffix is still fewer tasks than the graph has.
+///
+/// Measured, not modelled (release build, 2-core 2.6 GHz Xeon; table in
+/// EXPERIMENTS.md, PR 21): a journaled repair pop costs 0.51–0.63 µs and
+/// a sweep 70–130 ns per task, so one pop is worth 5–8 sweep steps — and
+/// the median completed repair pops a suffix task 1.9 times on
+/// `search_rnnlm4`, 18–58 times on gpt_small at 16–256 devices. At 16 the
+/// repairs admitted on `search_rnnlm4`, `search_gpt64` and `sim_scaling`
+/// cost within 6 % of sweeping them (at 8: up to 30 % more). An abandoned
+/// repair has spent at most `tasks / 16` pops; with the sweep that follows
+/// such a proposal costs 1.4–1.5 up-front sweeps (median; 1.9–2.1 worst).
+pub const REPAIR_ADMIT_RATIO: usize = 16;
+
+/// Pop-budget floor: below it a repair costs microseconds either way.
+const MIN_REPAIR_BUDGET: usize = 64;
+
 impl DeltaScratch {
     #[inline]
     fn push(&mut self, tg: &TaskGraph, state: &SimState, id: TaskId) {
@@ -544,7 +733,7 @@ impl DeltaScratch {
         }
         if let Some(t) = tg.get(id) {
             self.queued[i] = self.epoch;
-            let k = key(state.ready[i], t.seq);
+            let k = key(state.tl.ready[i], t.seq);
             self.islands[t.island as usize].push(Reverse((k, id)));
             self.active.push(Reverse((k, t.island)));
         }
@@ -584,7 +773,7 @@ impl DeltaScratch {
         None
     }
 
-    /// Empties every queue (call entry and the fallback bail-out).
+    /// Empties every queue (call entry and the abandoned-repair bail-out).
     fn clear_queues(&mut self) {
         for h in &mut self.islands {
             h.clear();
@@ -596,13 +785,14 @@ impl DeltaScratch {
 }
 
 /// The delta simulation algorithm (paper Algorithm 2): given the previous
-/// timeline and the [`RebuildReport`] of a single-op configuration change,
-/// repairs only the affected portion of the timeline.
+/// timeline and the [`RebuildReport`] of a structural change, brings the
+/// timeline up to date with the rebuilt graph — by repairing the affected
+/// portion or, when that would cost more, by sweeping (see the module
+/// docs for the rule).
 ///
 /// Returns the new makespan. The resulting state is identical to running
-/// [`simulate_full`] on the updated graph; if the internal iteration bound
-/// is ever exceeded (a safety valve), the function falls back to a full
-/// re-simulation and increments [`SimState::fallbacks`].
+/// [`simulate_full`] on the updated graph. A repair that outruns its pop
+/// budget is abandoned for a sweep and increments [`SimState::fallbacks`].
 ///
 /// Convenience wrapper over [`simulate_delta_with`] that allocates a fresh
 /// scratch; hot loops should hold a [`DeltaScratch`] and call the `_with`
@@ -614,9 +804,7 @@ pub fn simulate_delta(tg: &TaskGraph, state: &mut SimState, report: &RebuildRepo
 /// [`simulate_delta`] with a caller-owned [`DeltaScratch`].
 ///
 /// When `state` has an open transaction (see [`SimState::begin_txn`]),
-/// every mutation is journaled so the repair can be rolled back exactly —
-/// including the fallback path, which snapshots the reconstructed
-/// pre-transaction state before the full sweep overwrites the arrays.
+/// the call can be rolled back exactly whichever route it took.
 pub fn simulate_delta_with(
     tg: &TaskGraph,
     state: &mut SimState,
@@ -633,59 +821,63 @@ pub fn simulate_delta_with(
     scratch.epoch += 1;
     if scratch.queued.len() < tg.capacity() {
         scratch.queued.resize(tg.capacity(), 0);
+        scratch.added.resize(tg.capacity(), 0);
     }
     scratch.last_repair_steps = 0;
     scratch.last_was_sweep = false;
 
-    // 0. Adaptive algorithm choice. Incremental repair pays a ~3x higher
-    //    per-task constant than the flat Dijkstra sweep (B-tree
-    //    repositioning vs heap pushes), so when the dirty timeline suffix
-    //    covers most of the schedule a journaled in-place full sweep is
-    //    strictly cheaper — while still skipping the full graph *rebuild*,
-    //    which is the structural half of delta's advantage. Estimate the
-    //    suffix from the earliest dirty ready time via per-unit reverse
-    //    walks (O(suffix + units), exact — see SimState::suffix_len), so
-    //    a proposal confined to one island pays nothing for the other
-    //    islands' task counts.
+    // 0. Sweep or repair? Estimate the dirty suffix from the earliest
+    //    dirty ready time via per-unit reverse walks (O(suffix + units),
+    //    see SimState::suffix_len), so a proposal confined to one island
+    //    pays nothing for the other islands' task counts.
     let n = tg.num_tasks();
-    if n > 0 {
-        let mut t_min = f64::INFINITY;
-        // Islands the structural change touches; the last flag is the
-        // cross-island frontier — spine traffic can propagate anywhere,
-        // so it forces the conservative whole-cluster estimate.
-        let mut dirty = vec![false; frontiers];
-        for &id in report.removed.iter().chain(&report.pred_changed) {
-            let i = id.index();
-            if let Some(unit) = state.unit_of[i] {
-                t_min = t_min.min(state.ready[i]);
-                dirty[state.unit_island[&unit] as usize] = true;
-            }
+    let mut t_min = f64::INFINITY;
+    // Islands the structural change touches; the last flag is the
+    // cross-island frontier — spine traffic can propagate anywhere, so it
+    // forces the conservative whole-cluster estimate.
+    scratch.dirty.clear();
+    scratch.dirty.resize(frontiers, false);
+    for &id in report.removed.iter().chain(&report.pred_changed) {
+        let i = id.index();
+        let u = state.tl.unit_of[i];
+        if u != UNSCHEDULED {
+            t_min = t_min.min(state.tl.ready[i]);
+            scratch.dirty[state.tl.orders[u as usize].island as usize] = true;
         }
-        for &id in &report.added {
-            let t = tg.task(id);
-            dirty[t.island as usize] = true;
-            let r = t
-                .preds
-                .iter()
-                .map(|p| state.end[p.index()])
-                .fold(0.0, f64::max);
-            t_min = t_min.min(r);
+    }
+    for &id in &report.added {
+        scratch.added[id.index()] = scratch.epoch;
+    }
+    for &id in &report.added {
+        let t = tg.task(id);
+        scratch.dirty[t.island as usize] = true;
+        // A new task becomes ready no earlier than its surviving
+        // predecessors end. Predecessors that are themselves new have no
+        // time yet (their slots may hold a previous occupant's); a task
+        // with only such predecessors is bounded through them.
+        let mut surviving = t
+            .preds
+            .iter()
+            .filter(|p| scratch.added[p.index()] != scratch.epoch)
+            .peekable();
+        if t.preds.is_empty() || surviving.peek().is_some() {
+            t_min = t_min.min(state.tl.ready_after(surviving));
         }
-        if t_min.is_finite() {
-            let all_islands = dirty[frontiers - 1];
-            let suffix = state.suffix_len(t_min, &dirty, all_islands) + report.added.len();
-            // Crossover measured on the proposal_evaluation workload:
-            // repair wins below roughly a third of the schedule.
-            if 8 * suffix >= 3 * n {
-                return sweep_in_place(tg, state, scratch);
-            }
-        }
+    }
+    let all_islands = scratch.dirty[frontiers - 1];
+    let suffix = if t_min.is_finite() {
+        state.suffix_len(t_min, &scratch.dirty, all_islands) + report.added.len()
+    } else {
+        0
+    };
+    if REPAIR_ADMIT_RATIO * suffix >= n && n > 0 {
+        return sweep_in_place(tg, state, scratch);
     }
 
     // 1. Unschedule removed slots (their old unit is recorded in the state;
     //    the slot may already host a replacement task).
     for &id in &report.removed {
-        if state.unit_of[id.index()].is_some() {
+        if state.tl.unit_of[id.index()] != UNSCHEDULED {
             if let Some(shifted) = state.unschedule(id) {
                 scratch.push(tg, state, shifted);
             }
@@ -698,17 +890,12 @@ pub fn simulate_delta_with(
     //    would pop every added task once before its wave arrives.
     for &id in &report.added {
         state.save_slot(id.index());
-        state.start[id.index()] = 0.0;
-        state.end[id.index()] = 0.0;
+        state.tl.start[id.index()] = 0.0;
+        state.tl.end[id.index()] = 0.0;
     }
     for &id in &report.added {
-        let t = tg.task(id);
-        let init_ready = t
-            .preds
-            .iter()
-            .map(|p| state.end[p.index()])
-            .fold(0.0, f64::max);
-        if let Some(follower) = state.schedule(tg, id, t.unit, init_ready) {
+        let init_ready = state.tl.ready_after(&tg.task(id).preds);
+        if let Some(follower) = state.schedule(tg, id, init_ready) {
             scratch.push(tg, state, follower);
         }
         scratch.push(tg, state, id);
@@ -718,47 +905,39 @@ pub fn simulate_delta_with(
         scratch.push(tg, state, id);
     }
 
-    // 4. Fixpoint propagation in (ready, seq) order. If the repair takes
-    //    more pops than a few full sweeps it is already costlier than
-    //    re-simulating from scratch (deep chains re-process each wave), so
-    //    the budget bails out early and the fallback handles it — an
-    //    adaptive escape hatch rather than an error path.
-    let budget = 8 * tg.num_tasks().max(64) as u64;
+    // 4. Fixpoint propagation in (ready, seq) order, for at most as many
+    //    pops as the suffix the repair was admitted on.
+    let budget = suffix.max(MIN_REPAIR_BUDGET) as u64;
     let mut steps = 0u64;
     while let Some(id) = scratch.pop() {
         scratch.queued[id.index()] = 0;
         let Some(t) = tg.get(id) else { continue };
         steps += 1;
         if steps > budget {
-            // Safety valve: abandon incremental repair.
             scratch.last_repair_steps = steps;
             scratch.clear_queues();
             state.fallbacks += 1;
             return sweep_in_place(tg, state, scratch);
         }
-        let new_ready = t
-            .preds
-            .iter()
-            .map(|p| state.end[p.index()])
-            .fold(0.0, f64::max);
+        let new_ready = state.tl.ready_after(&t.preds);
         let i = id.index();
-        if new_ready != state.ready[i] {
+        if new_ready != state.tl.ready[i] {
             // Reposition within the FIFO order (the "swap" of Algorithm 2).
             if let Some(shifted) = state.unschedule(id) {
                 scratch.push(tg, state, shifted);
             }
-            if let Some(follower) = state.schedule(tg, id, t.unit, new_ready) {
+            if let Some(follower) = state.schedule(tg, id, new_ready) {
                 scratch.push(tg, state, follower);
             }
         }
-        let unit = state.unit_of[i].expect("scheduled");
-        let new_start = new_ready.max(state.pre_end(id, unit));
+        let u = state.tl.unit_of[i] as usize;
+        let new_start = new_ready.max(state.pre_end(i, u));
         let new_end = new_start + t.exe_us;
-        if new_start != state.start[i] || new_end != state.end[i] {
-            let old_end = state.end[i];
+        if new_start != state.tl.start[i] || new_end != state.tl.end[i] {
+            let old_end = state.tl.end[i];
             state.save_slot(i);
-            state.start[i] = new_start;
-            state.end[i] = new_end;
+            state.tl.start[i] = new_start;
+            state.tl.end[i] = new_end;
             // Frontier tightening: a changed end only matters to a
             // dependent whose ready/start this task could determine. If
             // both the old and the new end sit strictly below the
@@ -768,13 +947,13 @@ pub fn simulate_delta_with(
             // queued are unaffected (the push dedups).
             for &s in &t.succs {
                 let si = s.index();
-                if new_end > state.ready[si] || old_end >= state.ready[si] {
+                if new_end > state.tl.ready[si] || old_end >= state.tl.ready[si] {
                     scratch.push(tg, state, s);
                 }
             }
-            if let Some(next) = state.next_of(id, unit) {
+            if let Some(next) = state.next_of(i, u) {
                 let ni = next.index();
-                if new_end > state.start[ni] || old_end >= state.start[ni] {
+                if new_end > state.tl.start[ni] || old_end >= state.tl.start[ni] {
                     scratch.push(tg, state, next);
                 }
             }
@@ -782,49 +961,25 @@ pub fn simulate_delta_with(
     }
     scratch.last_repair_steps = steps;
     state.recompute_makespan();
-    state.makespan
+    state.tl.makespan
 }
 
-/// Replaces the timeline with a from-scratch sweep of the current graph,
-/// preserving an open transaction's ability to roll back: with a still-
-/// empty journal the old state moves into the journal wholesale (no
-/// copy); mid-repair (the budget safety valve) the pre-transaction state
-/// is first reconstructed from the journal.
+/// Replaces the timeline with a from-scratch sweep of the current graph:
+/// the sweep fills the scratch's spare timeline, which is then swapped
+/// with the live one. Outside a transaction the displaced timeline is the
+/// next spare. Inside one it moves into the journal — untouched, or as an
+/// abandoned repair left it, with that repair's slot journal kept beside
+/// it — until commit or rollback returns a set of buffers to the scratch.
 fn sweep_in_place(tg: &TaskGraph, state: &mut SimState, scratch: &mut DeltaScratch) -> f64 {
     scratch.last_was_sweep = true;
-    let fallbacks = state.fallbacks;
-    if state.journal.is_some() {
-        let untouched = state.journal.as_ref().is_some_and(|j| j.slots.is_empty());
-        let mut journal = state.journal.take().expect("txn open");
-        let pre = if untouched {
-            // Journal untouched: the current state *is* the pre-txn state,
-            // modulo the capacity growth done at the top of the repair
-            // (the grown tail is all-default; truncation restores it) —
-            // move it into the journal wholesale, no copy.
-            let mut pre = std::mem::take(state);
-            pre.ready.truncate(journal.len);
-            pre.start.truncate(journal.len);
-            pre.end.truncate(journal.len);
-            pre.unit_of.truncate(journal.len);
-            pre.sched_key.truncate(journal.len);
-            pre
-        } else {
-            // Mid-repair (the budget safety valve): reconstruct the
-            // pre-txn state from the journal before the sweep overwrites
-            // the arrays.
-            let mut pre = state.clone();
-            pre.journal = None;
-            pre.apply_undo(&journal);
-            pre
-        };
-        journal.full = Some(Box::new(pre));
-        *state = simulate_full(tg);
-        state.journal = Some(journal);
-    } else {
-        *state = simulate_full(tg);
+    sweep_into(tg, &mut scratch.spare, &mut scratch.sweep);
+    std::mem::swap(&mut state.tl, &mut scratch.spare);
+    if let Some(j) = state.journal.as_mut() {
+        if j.displaced.is_none() {
+            j.displaced = Some(std::mem::take(&mut scratch.spare));
+        }
     }
-    state.fallbacks = fallbacks;
-    state.makespan
+    state.tl.makespan
 }
 
 /// Convenience owner tying together a strategy, its task graph and its
@@ -832,17 +987,17 @@ fn sweep_in_place(tg: &TaskGraph, state: &mut SimState, scratch: &mut DeltaScrat
 ///
 /// Proposal evaluation is **transactional**: [`Simulator::apply`] opens a
 /// transaction on both the task graph and the timeline, rebuilds one op
-/// and delta-repairs the schedule while journaling every mutation.
-/// [`Simulator::commit`] keeps the result (dropping the journal);
-/// [`Simulator::rollback`] replays the journal backwards, restoring graph,
-/// timeline and strategy bit-for-bit — no second repair, no structure
+/// and brings the schedule up to date by repair or sweep (see the module
+/// docs). [`Simulator::commit`] keeps the result; [`Simulator::rollback`]
+/// restores graph, timeline and strategy bit-for-bit by journal replay and,
+/// after a sweep, a buffer swap — no second simulation, no structure
 /// clone. Rejected proposals dominate an MCMC walk, so this is the hot
 /// path of the whole search.
 ///
 /// # Threading contract
 ///
-/// A `Simulator` is `Send` — the parallel search driver
-/// ([`crate::optimizer::ParallelSearch`]) constructs one *per chain*
+/// A `Simulator` is `Send` — the search driver
+/// ([`crate::optimizer::SearchRequest`]) constructs one *per chain*
 /// inside each worker thread over shared `&OpGraph` / `&Topology` /
 /// `&dyn CostModel` borrows (the [`flexflow_costmodel::CostModel`] trait
 /// requires `Send + Sync`, so the cost oracle may be queried from many
@@ -897,20 +1052,21 @@ impl<'a> Simulator<'a> {
         strategy: crate::strategy::Strategy,
     ) -> Self {
         let tg = TaskGraph::build(graph, topo, &strategy, cost, &cfg);
-        let state = simulate_full(&tg);
-        Self {
+        let mut sim = Self {
             graph,
             topo,
             cost,
             cfg,
             strategy,
             tg,
-            state,
+            state: SimState::default(),
             scratch: DeltaScratch::default(),
             txn: None,
             delta_sims: 0,
             telemetry: DeltaTelemetry::default(),
-        }
+        };
+        sweep_in_place(&sim.tg, &mut sim.state, &mut sim.scratch);
+        sim
     }
 
     /// The operator graph being parallelized.
@@ -948,22 +1104,16 @@ impl<'a> Simulator<'a> {
         self.telemetry
     }
 
-    /// Speculatively applies a configuration change to one op with a
-    /// journaled delta simulation and returns the new cost. The change
-    /// stays pending until [`Simulator::commit`] keeps it or
-    /// [`Simulator::rollback`] undoes it; calling `apply` again first
-    /// commits the pending change (so sequential non-speculative use —
-    /// apply, apply, … — behaves exactly as before the transactional API).
-    pub fn apply(
-        &mut self,
-        op: flexflow_opgraph::OpId,
-        config: crate::soap::ParallelConfig,
-    ) -> f64 {
-        self.commit();
-        let old = self.strategy.replace(op, config);
+    /// Opens the transaction of a proposal whose strategy change is made.
+    fn begin(&mut self, pending: Pending) {
         self.tg.begin_txn();
         self.state.begin_txn();
-        self.txn = Some(Pending::Config(op, old));
+        self.txn = Some(pending);
+    }
+
+    /// Rebuilds `op` under the open transaction and brings the timeline up
+    /// to date.
+    fn rebuild_op(&mut self, op: flexflow_opgraph::OpId) -> f64 {
         let report = self.tg.rebuild_op(
             self.graph,
             self.topo,
@@ -972,44 +1122,65 @@ impl<'a> Simulator<'a> {
             &self.cfg,
             op,
         );
+        self.delta(&report)
+    }
+
+    fn delta(&mut self, report: &RebuildReport) -> f64 {
         self.delta_sims += 1;
         let fallbacks_before = self.state.fallbacks;
-        let cost = simulate_delta_with(&self.tg, &mut self.state, &report, &mut self.scratch);
-        self.telemetry.applies += 1;
+        let cost = simulate_delta_with(&self.tg, &mut self.state, report, &mut self.scratch);
         self.telemetry.repair_steps += self.scratch.last_repair_steps;
         self.telemetry.fallbacks += self.state.fallbacks - fallbacks_before;
         self.telemetry.sweeps += u64::from(self.scratch.last_was_sweep);
+        cost
+    }
+
+    /// Counts the proposal just evaluated and its journal depth.
+    fn count_apply(&mut self) {
+        self.telemetry.applies += 1;
         let depth = self.tg.journal_depth() + self.state.journal_depth();
         self.telemetry.journal_slots += depth as u64;
         self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
+    }
+
+    /// Speculatively applies a configuration change to one op and returns
+    /// the new cost. The change stays pending until [`Simulator::commit`]
+    /// keeps it or [`Simulator::rollback`] undoes it; calling `apply` again
+    /// first commits the pending change (so sequential non-speculative use
+    /// — apply, apply, … — behaves exactly as before the transactional
+    /// API).
+    pub fn apply(
+        &mut self,
+        op: flexflow_opgraph::OpId,
+        config: crate::soap::ParallelConfig,
+    ) -> f64 {
+        self.commit();
+        let old = self.strategy.replace(op, config);
+        self.begin(Pending::Config(op, old));
+        let cost = self.rebuild_op(op);
+        self.count_apply();
         cost
     }
 
     /// Speculatively changes the strategy's microbatch count with a
     /// journaled structural rebuild and returns the new cost. A
-    /// microbatch change touches every operation, so each op is rebuilt
-    /// under the open transaction (journaled graph surgery, slot-recycled
-    /// like any other rebuild) and the timeline is re-derived by a
-    /// journaled in-place sweep — the same adaptive path wide single-op
-    /// proposals already take. Like [`Simulator::apply`], the change
-    /// stays pending until [`Simulator::commit`] or
-    /// [`Simulator::rollback`], and rollback restores strategy, task
-    /// graph and timeline bit-for-bit.
+    /// microbatch change touches every operation, so the whole graph is
+    /// rebuilt under the open transaction (journaled graph surgery,
+    /// slot-recycled like any other rebuild) and the timeline is swept —
+    /// the route wide single-op proposals take too. Like
+    /// [`Simulator::apply`], the change stays pending until
+    /// [`Simulator::commit`] or [`Simulator::rollback`], and rollback
+    /// restores strategy, task graph and timeline bit-for-bit.
     pub fn apply_microbatches(&mut self, m: u64) -> f64 {
         self.commit();
         let old = self.strategy.set_microbatches(m);
-        self.tg.begin_txn();
-        self.state.begin_txn();
-        self.txn = Some(Pending::Microbatches(old));
+        self.begin(Pending::Microbatches(old));
         self.tg
             .rebuild_all(self.graph, self.topo, &self.strategy, self.cost, &self.cfg);
         self.delta_sims += 1;
         let cost = sweep_in_place(&self.tg, &mut self.state, &mut self.scratch);
-        self.telemetry.applies += 1;
         self.telemetry.sweeps += 1;
-        let depth = self.tg.journal_depth() + self.state.journal_depth();
-        self.telemetry.journal_slots += depth as u64;
-        self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
+        self.count_apply();
         cost
     }
 
@@ -1018,8 +1189,8 @@ impl<'a> Simulator<'a> {
     /// its layer's synchronization tasks and returns the new cost. Unlike
     /// a microbatch change, a sync-mode change is *local*: only the
     /// layer's sync chain is doomed and recreated
-    /// ([`TaskGraph::rebuild_layer_sync`]), so the timeline is repaired by
-    /// the island-keyed delta path rather than a full sweep. Like
+    /// ([`TaskGraph::rebuild_layer_sync`]), so the timeline usually takes
+    /// the island-keyed repair rather than a sweep. Like
     /// [`Simulator::apply`], the change stays pending until
     /// [`Simulator::commit`] or [`Simulator::rollback`], and rollback
     /// restores strategy, task graph and timeline bit-for-bit.
@@ -1034,9 +1205,7 @@ impl<'a> Simulator<'a> {
     ) -> f64 {
         self.commit();
         let old = self.strategy.set_param_sync(op, mode);
-        self.tg.begin_txn();
-        self.state.begin_txn();
-        self.txn = Some(Pending::ParamSync(op, old));
+        self.begin(Pending::ParamSync(op, old));
         let cost = if let Some(layer) = self.graph.op(op).layer() {
             let report = self.tg.rebuild_layer_sync(
                 self.graph,
@@ -1046,20 +1215,11 @@ impl<'a> Simulator<'a> {
                 &self.cfg,
                 layer,
             );
-            self.delta_sims += 1;
-            let fallbacks_before = self.state.fallbacks;
-            let cost = simulate_delta_with(&self.tg, &mut self.state, &report, &mut self.scratch);
-            self.telemetry.repair_steps += self.scratch.last_repair_steps;
-            self.telemetry.fallbacks += self.state.fallbacks - fallbacks_before;
-            self.telemetry.sweeps += u64::from(self.scratch.last_was_sweep);
-            cost
+            self.delta(&report)
         } else {
             self.state.makespan_us()
         };
-        self.telemetry.applies += 1;
-        let depth = self.tg.journal_depth() + self.state.journal_depth();
-        self.telemetry.journal_slots += depth as u64;
-        self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
+        self.count_apply();
         cost
     }
 
@@ -1068,52 +1228,32 @@ impl<'a> Simulator<'a> {
     /// structural rebuild of the op and returns the new cost. The rebuild
     /// reuses the [`TaskGraph::rebuild_op`] surgery — the op's compute,
     /// recompute, tensor-edge and layer-sync tasks are doomed and
-    /// recreated for the new bit — so the timeline is repaired by the
-    /// island-keyed delta path. Like [`Simulator::apply`], the change
+    /// recreated for the new bit. Like [`Simulator::apply`], the change
     /// stays pending until [`Simulator::commit`] or
     /// [`Simulator::rollback`], and rollback restores strategy, task graph
     /// and timeline bit-for-bit.
     pub fn apply_recompute(&mut self, op: flexflow_opgraph::OpId, on: bool) -> f64 {
         self.commit();
         let old = self.strategy.set_recompute(op, on);
-        self.tg.begin_txn();
-        self.state.begin_txn();
-        self.txn = Some(Pending::Recompute(op, old));
-        let report = self.tg.rebuild_op(
-            self.graph,
-            self.topo,
-            &self.strategy,
-            self.cost,
-            &self.cfg,
-            op,
-        );
-        self.delta_sims += 1;
-        let fallbacks_before = self.state.fallbacks;
-        let cost = simulate_delta_with(&self.tg, &mut self.state, &report, &mut self.scratch);
-        self.telemetry.applies += 1;
-        self.telemetry.repair_steps += self.scratch.last_repair_steps;
-        self.telemetry.fallbacks += self.state.fallbacks - fallbacks_before;
-        self.telemetry.sweeps += u64::from(self.scratch.last_was_sweep);
-        let depth = self.tg.journal_depth() + self.state.journal_depth();
-        self.telemetry.journal_slots += depth as u64;
-        self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
+        self.begin(Pending::Recompute(op, old));
+        let cost = self.rebuild_op(op);
+        self.count_apply();
         cost
     }
 
-    /// Keeps the pending [`Simulator::apply`], dropping its undo journal.
-    /// No-op when nothing is pending.
+    /// Keeps the pending [`Simulator::apply`]. No-op when nothing is
+    /// pending.
     pub fn commit(&mut self) {
         if self.txn.take().is_some() {
             self.tg.commit_txn();
-            self.state.commit_txn();
+            self.state.commit_txn(&mut self.scratch);
             self.telemetry.commits += 1;
         }
     }
 
-    /// Undoes the pending [`Simulator::apply`] by replaying the undo
-    /// journals backwards; strategy, task graph and timeline return to
-    /// their exact pre-`apply` state. Returns the (restored) cost. No-op
-    /// when nothing is pending.
+    /// Undoes the pending [`Simulator::apply`]; strategy, task graph and
+    /// timeline return to their exact pre-`apply` state. Returns the
+    /// (restored) cost. No-op when nothing is pending.
     pub fn rollback(&mut self) -> f64 {
         if let Some(pending) = self.txn.take() {
             match pending {
@@ -1131,20 +1271,20 @@ impl<'a> Simulator<'a> {
                 }
             }
             self.tg.rollback_txn();
-            self.state.rollback_txn();
+            self.state.rollback_txn(&mut self.scratch);
             self.telemetry.rollbacks += 1;
         }
         self.state.makespan_us()
     }
 
-    /// Replaces the entire strategy, rebuilding and fully re-simulating.
-    /// Commits any pending proposal first.
+    /// Replaces the entire strategy, rebuilding and fully re-simulating
+    /// (into the double buffer's spare). Commits any pending proposal
+    /// first.
     pub fn reset(&mut self, strategy: crate::strategy::Strategy) -> f64 {
         self.commit();
         self.strategy = strategy;
         self.tg = TaskGraph::build(self.graph, self.topo, &self.strategy, self.cost, &self.cfg);
-        self.state = simulate_full(&self.tg);
-        self.state.makespan_us()
+        sweep_in_place(&self.tg, &mut self.state, &mut self.scratch)
     }
 }
 

@@ -1,8 +1,10 @@
 //! Property-based tests for the execution simulator's core invariants:
 //!
 //! 1. **Delta == Full** (paper §5.3): after any sequence of single-op
-//!    configuration changes, the delta-repaired timeline matches a full
-//!    re-simulation of a freshly built task graph.
+//!    configuration changes, the delta-evolved timeline — swept, repaired,
+//!    or swept after an abandoned repair — equals a full re-simulation of
+//!    a freshly built task graph bit for bit: makespan, every task's
+//!    times and every unit's execution order.
 //! 2. **Timeline sanity**: per-unit executions never overlap, dependencies
 //!    are respected, and makespan equals the latest end time.
 //! 3. **Cost purity**: the simulated cost of a strategy does not depend on
@@ -11,6 +13,7 @@
 //!    sequence, the task graph and the timeline are bit-identical to their
 //!    pre-apply state, and committed walks still match a fresh build.
 
+use flexflow_core::metrics::DeltaTelemetry;
 use flexflow_core::sim::{simulate_delta, simulate_full, SimConfig, SimState, Simulator};
 use flexflow_core::soap::{random_config, ConfigSpace, ParallelConfig};
 use flexflow_core::strategy::Strategy;
@@ -63,6 +66,64 @@ fn random_model(seed: u64, depth: usize) -> OpGraph {
     g
 }
 
+/// Identity-keyed timeline fingerprint: tasks are identified by their
+/// stable `seq` key (a pure function of task identity), so timelines of
+/// graphs with different slot layouts compare bit-for-bit.
+fn timeline_fingerprint(tg: &TaskGraph, state: &SimState) -> Vec<(u128, ExecUnit, u64, u64, u64)> {
+    let mut v: Vec<_> = tg
+        .iter()
+        .map(|(id, t)| {
+            let (r, s, e) = state.times(id);
+            (t.seq, t.unit, r.to_bits(), s.to_bits(), e.to_bits())
+        })
+        .collect();
+    v.sort();
+    v
+}
+
+/// Every unit's execution order as task identities, units in order.
+fn unit_orders(tg: &TaskGraph, state: &SimState) -> Vec<(ExecUnit, Vec<u128>)> {
+    let mut v: Vec<_> = state
+        .units()
+        .map(|unit| {
+            let order = state.order(unit);
+            (unit, order.iter().map(|&id| tg.task(id).seq).collect())
+        })
+        .collect();
+    v.sort();
+    v
+}
+
+/// The delta-evolved `(tg, state)` is the timeline a from-scratch build
+/// and full simulation of `strategy` gives, bit for bit.
+fn assert_equals_fresh(
+    g: &OpGraph,
+    topo: &Topology,
+    strategy: &Strategy,
+    tg: &TaskGraph,
+    state: &SimState,
+    ctx: &str,
+) {
+    let cost = MeasuredCostModel::paper_default();
+    let fresh_tg = TaskGraph::build(g, topo, strategy, &cost, &SimConfig::default());
+    let fresh = simulate_full(&fresh_tg);
+    assert_eq!(
+        state.makespan_us().to_bits(),
+        fresh.makespan_us().to_bits(),
+        "{ctx}: delta {} vs full {}",
+        state.makespan_us(),
+        fresh.makespan_us()
+    );
+    assert!(
+        timeline_fingerprint(tg, state) == timeline_fingerprint(&fresh_tg, &fresh),
+        "{ctx}: task times differ from a fresh full simulation"
+    );
+    assert!(
+        unit_orders(tg, state) == unit_orders(&fresh_tg, &fresh),
+        "{ctx}: unit orders differ from a fresh full simulation"
+    );
+}
+
 fn check_walk(g: &OpGraph, topo: &Topology, seed: u64, steps: usize) {
     let cost = MeasuredCostModel::paper_default();
     let cfg = SimConfig::default();
@@ -77,17 +138,10 @@ fn check_walk(g: &OpGraph, topo: &Topology, seed: u64, steps: usize) {
         s.replace(op, config);
         let report = tg.rebuild_op(g, topo, &s, &cost, &cfg, op);
         let delta_cost = simulate_delta(&tg, &mut state, &report);
-        let fresh = simulate_full(&TaskGraph::build(g, topo, &s, &cost, &cfg));
-        assert!(
-            (delta_cost - fresh.makespan_us()).abs() < 1e-6,
-            "model {} step {step}: delta {delta_cost} vs full {}",
-            g.name(),
-            fresh.makespan_us()
-        );
+        assert_eq!(delta_cost.to_bits(), state.makespan_us().to_bits());
+        let ctx = format!("model {} step {step}", g.name());
+        assert_equals_fresh(g, topo, &s, &tg, &state, &ctx);
     }
-    // Fallbacks are allowed (an adaptive escape hatch for deep chains);
-    // equality with the full simulation is what matters.
-    let _ = state.fallbacks;
 }
 
 proptest! {
@@ -181,21 +235,6 @@ proptest! {
     }
 }
 
-/// Identity-keyed timeline fingerprint: tasks are identified by their
-/// stable `seq` key (a pure function of task identity), so timelines of
-/// graphs with different slot layouts compare bit-for-bit.
-fn timeline_fingerprint(tg: &TaskGraph, state: &SimState) -> Vec<(u128, ExecUnit, u64, u64, u64)> {
-    let mut v: Vec<_> = tg
-        .iter()
-        .map(|(id, t)| {
-            let (r, s, e) = state.times(id);
-            (t.seq, t.unit, r.to_bits(), s.to_bits(), e.to_bits())
-        })
-        .collect();
-    v.sort();
-    v
-}
-
 #[test]
 fn delta_walk_is_bit_identical_to_full_on_flat_topologies() {
     // The island-frontier refactor must leave flat, m = 1 timelines
@@ -217,13 +256,7 @@ fn delta_walk_is_bit_identical_to_full_on_flat_topologies() {
             let report = tg.rebuild_op(&g, &topo, &s, &cost, &cfg, op);
             simulate_delta(&tg, &mut state, &report);
         }
-        let fresh_tg = TaskGraph::build(&g, &topo, &s, &cost, &cfg);
-        let fresh = simulate_full(&fresh_tg);
-        assert!(
-            timeline_fingerprint(&tg, &state) == timeline_fingerprint(&fresh_tg, &fresh),
-            "{}: delta-evolved timeline differs from a fresh full simulation",
-            g.name()
-        );
+        assert_equals_fresh(&g, &topo, &s, &tg, &state, g.name());
     }
 }
 
@@ -240,11 +273,80 @@ fn delta_matches_full_on_hierarchical_clusters() {
 }
 
 #[test]
-fn island_local_proposals_do_not_wake_remote_islands() {
-    // Two independent chains pinned to different islands: repairing a
-    // proposal on the small island-0 chain must not process the (much
-    // larger) island-1 chain's tasks, and must not be pushed onto the
-    // full-sweep path by their count.
+fn hierarchical_walk_takes_all_three_routes_and_rolls_each_back_exactly() {
+    // The transactional path on a 4-island cluster, over walks long enough
+    // to take every route a proposal can: an up-front sweep, a completed
+    // repair, and a repair abandoned for a sweep. The first proposal on
+    // each route is rolled back (the double buffer's swap-back, the slot
+    // journal's replay, and both in turn); later ones are kept one time in
+    // three.
+    const SWEEP: usize = 0;
+    const REPAIR: usize = 1;
+    const ABANDONED: usize = 2;
+    let topo = clusters::hierarchical_cluster(DeviceKind::P100, 4, 4);
+    let g = zoo::rnnlm(64, 2);
+    let cost = MeasuredCostModel::paper_default();
+    let cfg = SimConfig::default();
+    let searchable = Strategy::searchable_ops(&g);
+    let mut total = DeltaTelemetry::default();
+    let mut rolled_back = [0u32; 3];
+    for seed in [1, 2] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sim = Simulator::new(&g, &topo, &cost, cfg, Strategy::data_parallel(&g, &topo));
+        for step in 0..120 {
+            let op = searchable[rng.gen_range(0..searchable.len())];
+            let config = random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng);
+            let before = (
+                sim.task_graph().clone(),
+                sim.state().clone(),
+                sim.strategy().clone(),
+                sim.cost_us(),
+            );
+            let t0 = sim.telemetry();
+            let applied = sim.apply(op, config);
+            let t1 = sim.telemetry();
+            let route = match (t1.sweeps - t0.sweeps, t1.fallbacks - t0.fallbacks) {
+                (0, 0) => REPAIR,
+                (1, 0) => SWEEP,
+                (1, 1) => ABANDONED,
+                other => panic!("impossible telemetry step {other:?}"),
+            };
+            let ctx = format!("seed {seed} step {step} route {route}");
+            assert_eq!(applied.to_bits(), sim.cost_us().to_bits(), "{ctx}");
+            assert_equals_fresh(
+                &g,
+                &topo,
+                sim.strategy(),
+                sim.task_graph(),
+                sim.state(),
+                &ctx,
+            );
+            if rolled_back[route] > 0 && rng.gen_range(0..3) == 0 {
+                sim.commit();
+            } else {
+                let restored = sim.rollback();
+                rolled_back[route] += 1;
+                assert_eq!(restored.to_bits(), before.3.to_bits(), "{ctx}: cost");
+                assert!(sim.task_graph() == &before.0, "{ctx}: task graph");
+                assert!(sim.state() == &before.1, "{ctx}: timeline");
+                assert_eq!(sim.strategy(), &before.2, "{ctx}: strategy");
+            }
+        }
+        total.merge(&sim.telemetry());
+    }
+    assert!(
+        rolled_back.iter().all(|&n| n > 0),
+        "routes rolled back (sweep, repair, abandoned): {rolled_back:?}; {total:?}"
+    );
+    assert_eq!(total.applies, 240);
+    assert_eq!(total.commits + total.rollbacks, total.applies);
+}
+
+/// Two independent chains pinned to different islands of a 2 × 4 cluster:
+/// a short one round-robining island 0 and a long one on island 1 — long
+/// enough that the short chain's whole schedule is under a sixteenth of
+/// the tasks, so proposals on it are repaired, not swept.
+fn two_island_chains() -> (OpGraph, Topology, Strategy) {
     let mut g = OpGraph::new("two-islands");
     let xa = g.add_input("xa", TensorShape::new(&[16, 8]));
     let xb = g.add_input("xb", TensorShape::new(&[16, 8]));
@@ -255,14 +357,12 @@ fn island_local_proposals_do_not_wake_remote_islands() {
             .unwrap();
     }
     let mut b = xb;
-    for i in 0..40 {
+    for i in 0..160 {
         b = g
             .add_op(OpKind::Linear { out_features: 8 }, &[b], format!("b{i}"))
             .unwrap();
     }
     let topo = clusters::hierarchical_cluster(DeviceKind::P100, 2, 4);
-    let cost = MeasuredCostModel::paper_default();
-    // Chain a round-robins island 0 (devices 0..4), chain b island 1.
     let configs = g
         .ids()
         .map(|id| {
@@ -276,15 +376,25 @@ fn island_local_proposals_do_not_wake_remote_islands() {
         })
         .collect();
     let s = Strategy::from_configs(&g, configs);
+    (g, topo, s)
+}
+
+#[test]
+fn island_local_proposals_do_not_wake_remote_islands() {
+    // Repairing a proposal on the small island-0 chain must not process
+    // the (much larger) island-1 chain's tasks, and must not be pushed
+    // onto the full-sweep path by their count.
+    let (g, topo, s) = two_island_chains();
+    let cost = MeasuredCostModel::paper_default();
     let mut sim = Simulator::new(&g, &topo, &cost, SimConfig::default(), s);
     let island1_tasks = sim
         .task_graph()
         .iter()
         .filter(|(_, t)| t.island == 1)
         .count();
-    assert!(island1_tasks >= 40, "chain b must dominate the task count");
+    assert!(island1_tasks >= 160, "chain b must dominate the task count");
     let a2 = g.ids().find(|&i| g.op(i).name() == "a2").unwrap();
-    let c1 = sim.apply(a2, ParallelConfig::on_device(g.op(a2), topo.device_id(3)));
+    sim.apply(a2, ParallelConfig::on_device(g.op(a2), topo.device_id(3)));
     sim.commit();
     let t = sim.telemetry();
     assert_eq!(t.sweeps, 0, "a local proposal must not trigger a sweep");
@@ -295,14 +405,87 @@ fn island_local_proposals_do_not_wake_remote_islands() {
         island1_tasks,
     );
     // ...and the repair is still exact.
-    let fresh = simulate_full(&TaskGraph::build(
+    assert_equals_fresh(
         &g,
         &topo,
         sim.strategy(),
-        &cost,
-        &SimConfig::default(),
-    ));
-    assert!((c1 - fresh.makespan_us()).abs() < 1e-6);
+        sim.task_graph(),
+        sim.state(),
+        "a2",
+    );
+}
+
+#[test]
+fn growing_the_last_op_is_repaired_not_swept() {
+    // Splitting the long chain's last op two ways creates more tasks than
+    // it removes: the new communication tasks sit in fresh slots and so do
+    // the new compute tasks they depend on. The sweep-or-repair estimate
+    // must bound their ready times through surviving tasks — reading the
+    // new predecessors' slots (zero here, a previous occupant's end time
+    // in a recycled slot) dated the change at time 0 and swept.
+    let (g, topo, s) = two_island_chains();
+    let cost = MeasuredCostModel::paper_default();
+    let mut sim = Simulator::new(&g, &topo, &cost, SimConfig::default(), s);
+    let last = g.ids().find(|&i| g.op(i).name() == "b159").unwrap();
+    let devices = vec![topo.device_id(4), topo.device_id(5)];
+    sim.apply(last, ParallelConfig::new(g.op(last), vec![2, 1], devices));
+    assert_eq!(sim.telemetry().sweeps, 0, "{:?}", sim.telemetry());
+    assert_equals_fresh(
+        &g,
+        &topo,
+        sim.strategy(),
+        sim.task_graph(),
+        sim.state(),
+        "b159",
+    );
+}
+
+#[test]
+fn repairs_interleaved_with_sweeps_stay_exact() {
+    // Random walks rarely repair (most proposals dirty most of the
+    // schedule); this one mostly does. Moves on the short chain are
+    // repaired, moves on the long chain swept, so repairs keep meeting
+    // unit orders a sweep has just rewritten, and both are rolled back as
+    // often as kept.
+    let (g, topo, s) = two_island_chains();
+    let cost = MeasuredCostModel::paper_default();
+    let mut sim = Simulator::new(&g, &topo, &cost, SimConfig::default(), s);
+    let ops: Vec<_> = Strategy::searchable_ops(&g);
+    let (short, long): (Vec<_>, Vec<_>) = ops
+        .into_iter()
+        .partition(|&op| g.op(op).name().starts_with('a'));
+    let mut rng = StdRng::seed_from_u64(17);
+    for step in 0..80 {
+        let (op, base) = if rng.gen_range(0..4) == 0 {
+            (long[rng.gen_range(0..long.len())], 4usize)
+        } else {
+            (short[rng.gen_range(0..short.len())], 0)
+        };
+        let device = topo.device_id(base + rng.gen_range(0..4usize));
+        let before = (sim.task_graph().clone(), sim.state().clone());
+        sim.apply(op, ParallelConfig::on_device(g.op(op), device));
+        let ctx = format!("step {step}");
+        assert_equals_fresh(
+            &g,
+            &topo,
+            sim.strategy(),
+            sim.task_graph(),
+            sim.state(),
+            &ctx,
+        );
+        if rng.gen_range(0..2) == 0 {
+            sim.commit();
+        } else {
+            sim.rollback();
+            assert!(sim.task_graph() == &before.0, "{ctx}: task graph");
+            assert!(sim.state() == &before.1, "{ctx}: timeline");
+        }
+    }
+    let t = sim.telemetry();
+    assert!(
+        t.applies - t.sweeps >= 30 && t.sweeps >= 10,
+        "the walk must mix the routes: {t:?}"
+    );
 }
 
 #[test]
