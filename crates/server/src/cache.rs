@@ -31,14 +31,22 @@
 //! (temp file + rename) on every accepted insert. This module is the
 //! single-map primitive; [`crate::store`] layers sharding, LRU bounds and
 //! the [`StrategyStore`](crate::store::StrategyStore) trait on top of it.
+//!
+//! In memory an entry lives behind an `Arc` as a [`StoredEntry`]: the
+//! [`CacheEntry`] together with what every lookup and every hit would
+//! otherwise recompute from it — its parsed [`CacheKey`], its content
+//! address, and its `"strategy":{…}` response member ([`strategy_body`]),
+//! rendered once when the entry is inserted or loaded.
 
 use flexflow_core::strategy_io::{
-    parse_signature_hex, StrategyRecord, FORMAT_VERSION, MIN_FORMAT_VERSION,
+    parse_signature_hex, StrategyDump, StrategyRecord, FORMAT_VERSION, MIN_FORMAT_VERSION,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::ops::Bound;
 use std::path::Path;
+use std::sync::Arc;
 
 /// On-disk cache file version; bump on incompatible layout changes.
 pub const CACHE_FILE_VERSION: u32 = 1;
@@ -141,6 +149,63 @@ impl CacheEntry {
     }
 }
 
+/// Renders the `"strategy":{…}` member that ends every search answer.
+/// Cold and warm answers call it on the dump they just found, the cache
+/// calls it once per stored entry, so a hit's strategy tail equals the
+/// searching answer's byte for byte.
+pub fn strategy_body(dump: &StrategyDump) -> String {
+    let mut body = String::from("\"strategy\":");
+    body.push_str(&serde_json::to_string(dump).expect("serialize strategy"));
+    body
+}
+
+/// A [`CacheEntry`] as the cache holds it (see the module docs).
+/// Immutable once built; dereferences to the entry.
+#[derive(Debug, PartialEq)]
+pub struct StoredEntry {
+    entry: CacheEntry,
+    key: CacheKey,
+    address: String,
+    body: String,
+}
+
+impl StoredEntry {
+    /// Parses the entry's key and renders its body; `None` when the
+    /// stored signatures do not parse.
+    pub fn new(entry: CacheEntry) -> Option<Self> {
+        let key = entry.key()?;
+        Some(Self {
+            key,
+            address: key.address(),
+            body: strategy_body(&entry.record.dump),
+            entry,
+        })
+    }
+
+    /// The entry's key, parsed once at construction.
+    pub fn cache_key(&self) -> CacheKey {
+        self.key
+    }
+
+    /// The content address the entry stores under.
+    pub fn address(&self) -> &str {
+        &self.address
+    }
+
+    /// The entry's [`strategy_body`].
+    pub fn body(&self) -> &str {
+        &self.body
+    }
+}
+
+impl std::ops::Deref for StoredEntry {
+    type Target = CacheEntry;
+
+    fn deref(&self) -> &CacheEntry {
+        &self.entry
+    }
+}
+
 /// Serialized form of the whole cache.
 #[derive(Debug, Serialize, Deserialize)]
 struct CacheFile {
@@ -153,19 +218,20 @@ struct CacheFile {
 pub enum Lookup<'a> {
     /// Same graph, same topology, searched at least as hard: servable
     /// as-is, zero simulator evaluations.
-    Hit(&'a CacheEntry),
+    Hit(&'a Arc<StoredEntry>),
     /// Same graph but a different topology or a smaller budget: a seed
     /// for warm-started search.
-    Warm(&'a CacheEntry),
+    Warm(&'a Arc<StoredEntry>),
     /// Nothing reusable.
     Miss,
 }
 
 /// The in-memory cache: content address -> entry, kept sorted so the
-/// persisted file is deterministic.
+/// persisted file is deterministic and every entry of one graph sits in
+/// one contiguous `g<sig>-` range.
 #[derive(Debug, Default)]
 pub struct StrategyCache {
-    entries: BTreeMap<String, CacheEntry>,
+    entries: BTreeMap<String, Arc<StoredEntry>>,
 }
 
 impl StrategyCache {
@@ -230,7 +296,7 @@ impl StrategyCache {
     pub fn snapshot_json(&self) -> String {
         let file = CacheFile {
             version: CACHE_FILE_VERSION,
-            entries: self.entries.values().cloned().collect(),
+            entries: self.entries.values().map(|e| e.entry.clone()).collect(),
         };
         serde_json::to_string_pretty(&file).expect("serialize cache")
     }
@@ -244,7 +310,9 @@ impl StrategyCache {
         write_snapshot(path, &self.snapshot_json())
     }
 
-    /// Looks up the best answer for `(graph_sig, topo_sig, class)`.
+    /// Looks up the best answer for `(graph_sig, topo_sig, class)` among
+    /// the graph's entries — one range scan over its `g<sig>-` address
+    /// prefix, whatever else the cache holds.
     ///
     /// Hits prefer the hardest-searched entry (highest budget class),
     /// then the lowest cost. Warm candidates prefer entries for the same
@@ -253,9 +321,157 @@ impl StrategyCache {
     /// underlying map iterates in address order.
     pub fn lookup(&self, graph_sig: u64, topo_sig: u64, class: u32) -> Lookup<'_> {
         let (want_rc, want_ps, want_mb, want_ev) = split_class(class);
-        let mut hit: Option<(&CacheEntry, CacheKey)> = None;
-        let mut warm: Option<(&CacheEntry, CacheKey)> = None;
-        for entry in self.entries.values() {
+        let mut hit: Option<&Arc<StoredEntry>> = None;
+        let mut warm: Option<&Arc<StoredEntry>> = None;
+        let prefix = format!("g{graph_sig:016x}-");
+        let of_graph = self
+            .entries
+            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+            .take_while(|(address, _)| address.starts_with(&prefix));
+        for (_, entry) in of_graph {
+            let key = entry.key;
+            let (got_rc, got_ps, got_mb, got_ev) = split_class(key.budget_class);
+            if key.topo_sig == topo_sig
+                && got_rc == want_rc
+                && got_ps == want_ps
+                && got_mb == want_mb
+                && got_ev >= want_ev
+            {
+                let rank = |e: &StoredEntry| {
+                    (
+                        e.key.budget_class,
+                        std::cmp::Reverse(e.record.cost_us.to_bits()),
+                    )
+                };
+                if hit.is_none_or(|best| rank(best) < rank(entry)) {
+                    hit = Some(entry);
+                }
+            } else {
+                let rank = |e: &StoredEntry| {
+                    let (k_rc, k_ps, k_mb, k_ev) = split_class(e.key.budget_class);
+                    (
+                        e.key.topo_sig == topo_sig,
+                        k_rc == want_rc,
+                        k_ps == want_ps,
+                        k_mb == want_mb,
+                        k_ev,
+                        std::cmp::Reverse(e.record.cost_us.to_bits()),
+                    )
+                };
+                if warm.is_none_or(|best| rank(entry) > rank(best)) {
+                    warm = Some(entry);
+                }
+            }
+        }
+        match (hit, warm) {
+            (Some(e), _) => Lookup::Hit(e),
+            (None, Some(e)) => Lookup::Warm(e),
+            (None, None) => Lookup::Miss,
+        }
+    }
+
+    /// Inserts an entry, keeping the better strategy when the address is
+    /// already occupied (lower cost wins; ties keep the incumbent).
+    /// Returns whether the entry was stored. Entries with unparseable
+    /// signatures are rejected.
+    pub fn insert(&mut self, entry: CacheEntry) -> bool {
+        StoredEntry::new(entry).is_some_and(|e| self.insert_stored(Arc::new(e)))
+    }
+
+    /// [`StrategyCache::insert`] for an entry that is already in its
+    /// stored form (a loaded cache handing its entries to a shard).
+    pub fn insert_stored(&mut self, entry: Arc<StoredEntry>) -> bool {
+        match self.entries.get(entry.address()) {
+            Some(existing) if existing.record.cost_us <= entry.record.cost_us => false,
+            _ => {
+                self.entries.insert(entry.address.clone(), entry);
+                true
+            }
+        }
+    }
+
+    /// Evicts the entry at a content address (used when a stored record
+    /// fails validation at serving time: a corrupt entry must not pin its
+    /// address — `insert`'s lower-cost-wins rule would otherwise keep
+    /// rejecting the honest replacement forever).
+    pub fn remove(&mut self, address: &str) -> Option<Arc<StoredEntry>> {
+        self.entries.remove(address)
+    }
+
+    /// All entries in address order.
+    pub fn entries(&self) -> impl Iterator<Item = (&String, &Arc<StoredEntry>)> {
+        self.entries.iter()
+    }
+
+    /// The entry stored at a content address, if any.
+    pub fn get(&self, address: &str) -> Option<&Arc<StoredEntry>> {
+        self.entries.get(address)
+    }
+}
+
+/// Atomically persists a [`StrategyCache::snapshot_json`] snapshot:
+/// write to a uniquely named temp file in the same directory, fsync, then
+/// rename over `path` — a crash mid-write never corrupts the cache a
+/// later startup reloads, and concurrent writers (each with their own
+/// temp file) settle last-rename-wins with every intermediate state being
+/// a complete snapshot.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the temp write or the rename.
+pub fn write_snapshot(path: &Path, json: &str) -> std::io::Result<()> {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(json.as_bytes())?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexflow_core::strategy_io::{export_record, signature_hex};
+    use flexflow_core::Strategy;
+    use flexflow_device::clusters;
+    use flexflow_opgraph::zoo;
+    use proptest::prelude::*;
+
+    fn entry(graph_sig: u64, topo_sig: u64, class: u32, cost: f64) -> CacheEntry {
+        let g = zoo::lenet(64);
+        let topo = clusters::uniform_cluster(1, 2, 16.0, 4.0);
+        let s = Strategy::data_parallel(&g, &topo);
+        let mut record = export_record(&g, &topo, &s, cost, 100);
+        record.graph_sig = signature_hex(graph_sig);
+        record.topo_sig = signature_hex(topo_sig);
+        CacheEntry {
+            budget_class: class,
+            model: "lenet".into(),
+            gpus: 2,
+            cluster: "p100".into(),
+            record,
+        }
+    }
+
+    /// The lookup before it became a range scan — every entry visited,
+    /// its key parsed back out of the record — kept as the reference the
+    /// range scan is checked against.
+    fn lookup_by_full_scan(
+        cache: &StrategyCache,
+        graph_sig: u64,
+        topo_sig: u64,
+        class: u32,
+    ) -> Lookup<'_> {
+        let (want_rc, want_ps, want_mb, want_ev) = split_class(class);
+        let mut hit: Option<(&Arc<StoredEntry>, CacheKey)> = None;
+        let mut warm: Option<(&Arc<StoredEntry>, CacheKey)> = None;
+        for (_, entry) in cache.entries() {
             let Some(key) = entry.key() else { continue };
             if key.graph_sig != graph_sig {
                 continue;
@@ -303,90 +519,60 @@ impl StrategyCache {
         }
     }
 
-    /// Inserts an entry, keeping the better strategy when the address is
-    /// already occupied (lower cost wins; ties keep the incumbent).
-    /// Returns whether the entry was stored. Entries with unparseable
-    /// signatures are rejected.
-    pub fn insert(&mut self, entry: CacheEntry) -> bool {
-        let Some(key) = entry.key() else {
-            return false;
-        };
-        let address = key.address();
-        match self.entries.get(&address) {
-            Some(existing) if existing.record.cost_us <= entry.record.cost_us => false,
-            _ => {
-                self.entries.insert(address, entry);
-                true
+    /// Graph signatures whose addresses sort next to each other and at
+    /// both ends of the map.
+    const SIGS: [u64; 6] = [0, 1, 0x10, 0x11, 0xab00_0000_0000_0001, u64::MAX];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The range scan over a graph's address prefix answers every
+        /// lookup exactly as the scan of the whole map did: same outcome,
+        /// same entry, ties included (costs collide on purpose).
+        #[test]
+        fn lookup_by_prefix_range_matches_the_full_scan(
+            inserts in prop::collection::vec(
+                (0usize..6, 0u64..3, 1u64..40, 0u64..3, 0u32..4, 1u64..4),
+                0..40,
+            ),
+            queries in prop::collection::vec((0usize..6, 0u64..3, 1u64..40, 0u64..3, 0u32..4), 1..20),
+        ) {
+            let class = |evals: u64, mb: u64, flags: u32| {
+                composite_class(evals, mb * 2, flags & 1 == 1, flags & 2 == 2)
+            };
+            let mut cache = StrategyCache::new();
+            for &(g, t, evals, mb, flags, cost) in &inserts {
+                cache.insert(entry(SIGS[g], t, class(evals, mb, flags), cost as f64));
+            }
+            for &(g, t, evals, mb, flags) in &queries {
+                let (g, class) = (SIGS[g], class(evals, mb, flags));
+                let (ranged, scanned) = (cache.lookup(g, t, class), lookup_by_full_scan(&cache, g, t, class));
+                prop_assert_eq!(ranged, scanned);
+                // Equal entries are not enough: it has to be the same one.
+                if let (Lookup::Hit(a), Lookup::Hit(b)) | (Lookup::Warm(a), Lookup::Warm(b)) =
+                    (ranged, scanned)
+                {
+                    prop_assert!(Arc::ptr_eq(a, b));
+                }
             }
         }
     }
 
-    /// Evicts the entry at a content address (used when a stored record
-    /// fails validation at serving time: a corrupt entry must not pin its
-    /// address — `insert`'s lower-cost-wins rule would otherwise keep
-    /// rejecting the honest replacement forever).
-    pub fn remove(&mut self, address: &str) -> Option<CacheEntry> {
-        self.entries.remove(address)
-    }
+    #[test]
+    fn stored_entries_carry_their_key_address_and_body() {
+        let stored = StoredEntry::new(entry(0xabc, 0x123, 11, 100.0)).expect("signatures parse");
+        assert_eq!(Some(stored.cache_key()), stored.key());
+        assert_eq!(stored.address(), stored.cache_key().address());
+        assert_eq!(stored.body(), strategy_body(&stored.record.dump));
+        assert!(
+            stored.body().starts_with("\"strategy\":{"),
+            "{}",
+            stored.body()
+        );
 
-    /// All entries in address order.
-    pub fn entries(&self) -> impl Iterator<Item = (&String, &CacheEntry)> {
-        self.entries.iter()
-    }
-
-    /// The entry stored at a content address, if any.
-    pub fn get(&self, address: &str) -> Option<&CacheEntry> {
-        self.entries.get(address)
-    }
-}
-
-/// Atomically persists a [`StrategyCache::snapshot_json`] snapshot:
-/// write to a uniquely named temp file in the same directory, fsync, then
-/// rename over `path` — a crash mid-write never corrupts the cache a
-/// later startup reloads, and concurrent writers (each with their own
-/// temp file) settle last-rename-wins with every intermediate state being
-/// a complete snapshot.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the temp write or the rename.
-pub fn write_snapshot(path: &Path, json: &str) -> std::io::Result<()> {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use flexflow_core::strategy_io::{export_record, signature_hex};
-    use flexflow_core::Strategy;
-    use flexflow_device::clusters;
-    use flexflow_opgraph::zoo;
-
-    fn entry(graph_sig: u64, topo_sig: u64, class: u32, cost: f64) -> CacheEntry {
-        let g = zoo::lenet(64);
-        let topo = clusters::uniform_cluster(1, 2, 16.0, 4.0);
-        let s = Strategy::data_parallel(&g, &topo);
-        let mut record = export_record(&g, &topo, &s, cost, 100);
-        record.graph_sig = signature_hex(graph_sig);
-        record.topo_sig = signature_hex(topo_sig);
-        CacheEntry {
-            budget_class: class,
-            model: "lenet".into(),
-            gpus: 2,
-            cluster: "p100".into(),
-            record,
-        }
+        let mut unsigned = entry(1, 2, 3, 100.0);
+        unsigned.record.graph_sig = "not hex".into();
+        assert!(StoredEntry::new(unsigned).is_none());
     }
 
     #[test]

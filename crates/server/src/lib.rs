@@ -20,7 +20,9 @@
 //!
 //! - [`protocol`] — the versioned line-delimited JSON envelope (v2 adds a
 //!   `verb` field; v1 requests keep parsing unchanged);
-//! - [`cache`] — the content-addressed cache primitive and disk format;
+//! - [`cache`] — the content-addressed cache primitive, its disk format,
+//!   and the stored form of an entry (key parsed, response body
+//!   rendered, once);
 //! - [`store`] — the [`StrategyStore`] trait over it: the sharded,
 //!   LRU-bounded production store and the legacy single-map store;
 //! - [`server`] — the worker pool and the oneshot/socket/TCP front-ends;
@@ -51,7 +53,7 @@ pub mod protocol;
 pub mod server;
 pub mod store;
 
-pub use cache::{budget_class, CacheEntry, CacheKey, Lookup, StrategyCache};
+pub use cache::{budget_class, CacheEntry, CacheKey, Lookup, StoredEntry, StrategyCache};
 pub use polish::{PolishConfig, PolishOutcome};
 pub use protocol::{parse_envelope, parse_request, Envelope, Request, SearchRequest};
 pub use server::{CacheOutcome, Server, ServerBuilder, ServerConfig, ServerHandle};

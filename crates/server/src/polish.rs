@@ -27,6 +27,8 @@
 use crate::cache::{composite_class, split_class, CacheEntry};
 use crate::protocol::{self, SearchRequest};
 use crate::server::{cluster_from_name, try_build_workload, Server};
+#[cfg(doc)]
+use crate::store::StrategyStore;
 use crate::store::{HotEntry, Upgrade};
 use flexflow_core::strategy_io;
 use flexflow_core::{Budget, SimConfig};
@@ -186,7 +188,9 @@ pub fn step(server: &Server, cfg: &PolishConfig) -> PolishOutcome {
 
     let stats = server.stats();
     stats.polish_runs.fetch_add(1, Ordering::Relaxed);
-    stats.polish_evals.fetch_add(result.evals, Ordering::Relaxed);
+    stats
+        .polish_evals
+        .fetch_add(result.evals, Ordering::Relaxed);
 
     // The candidate's recorded effort is cumulative (original + polish),
     // so its budget class answers everything the old entry did and more.

@@ -20,11 +20,17 @@
 //! Every search answer goes through the [`StrategyStore`] (the sharded,
 //! LRU-bounded content-addressed cache):
 //!
-//! - **hit** — same graph + topology, searched at least as hard: the
-//!   stored record is structurally validated
-//!   ([`strategy_io::import_structural`]; op names are *not* re-checked,
-//!   matching the name-insensitive cache key) and served with **zero**
-//!   simulator evaluations;
+//! - **hit** — same graph + topology, searched at least as hard: served
+//!   with **zero** simulator evaluations, and on a repeat with no graph
+//!   or JSON work either — the request's `(model, gpus, cluster)` is
+//!   interned to its signatures on first sight, the entry's
+//!   `"strategy":{…}` body was rendered when it was stored, and the
+//!   structural check ([`strategy_io::import_structural`] against the
+//!   requester's own graph; op names are *not* re-checked, matching the
+//!   name-insensitive cache key) runs once per `(workload, entry address,
+//!   entry version)`, not once per request: any other entry state — a
+//!   reloaded file, a re-insert, a polish upgrade — is a different token
+//!   and is checked before a byte of it is served;
 //! - **warm** — same graph, different topology or smaller budget: the
 //!   cached dump is remapped onto the request's topology
 //!   ([`strategy_io::remap_onto`]) and seeds a warm search
@@ -38,7 +44,7 @@
 //! traffic from memory — and the polish daemon keeps improving the
 //! answers it serves most often.
 
-use crate::cache::{composite_class, CacheEntry};
+use crate::cache::{composite_class, strategy_body, CacheEntry};
 use crate::polish::PolishConfig;
 use crate::protocol::{self, Request, SearchRequest};
 use crate::store::{CacheBounds, LegacyStore, ShardedStore, StoreLookup, StrategyStore};
@@ -50,6 +56,7 @@ use flexflow_device::{clusters, DeviceKind, Topology};
 use flexflow_opgraph::{graph_signature, zoo, OpGraph};
 use serde::Value;
 use serde_json::json;
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -134,6 +141,11 @@ pub struct ServeStats {
     pub polish_published: AtomicU64,
     /// Evaluations spent by the polish daemon.
     pub polish_evals: AtomicU64,
+    /// Workloads (op graph + topology) built to answer requests: one for
+    /// a request that searches, names a workload for the first time, or
+    /// is the first to hit an entry in a state not yet validated; none
+    /// for a repeat hit.
+    pub graph_builds: AtomicU64,
     /// Request-latency histogram (see [`LATENCY_BUCKETS`]).
     pub latency_us: [AtomicU64; LATENCY_BUCKETS],
 }
@@ -152,6 +164,7 @@ impl Default for ServeStats {
             polish_runs: AtomicU64::new(0),
             polish_published: AtomicU64::new(0),
             polish_evals: AtomicU64::new(0),
+            graph_builds: AtomicU64::new(0),
             latency_us: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -197,9 +210,28 @@ fn latency_quantile(counts: &[u64], q: f64) -> u64 {
 pub struct Server {
     cfg: ServerConfig,
     store: Box<dyn StrategyStore>,
+    /// What each workload name seen so far resolves to. Never evicted:
+    /// [`protocol`] validation bounds the key space ([`protocol::KNOWN_MODELS`]
+    /// x [`protocol::MAX_GPUS`] x the device kinds).
+    workloads: Mutex<HashMap<WorkloadKey, WorkloadMemo>>,
     stats: ServeStats,
     shutdown: AtomicBool,
     active_searches: AtomicU64,
+}
+
+/// `(model, gpus, cluster)`: everything [`try_build_workload`] reads.
+type WorkloadKey = (String, usize, DeviceKind);
+
+/// The signatures a workload's graph and topology hash to, interned on
+/// first sight so a repeat request names its cache key without building
+/// either.
+struct WorkloadMemo {
+    graph_sig: u64,
+    topo_sig: u64,
+    /// `(address, version)` of the store entry last structurally
+    /// validated against this workload's graph. A hit on exactly that
+    /// entry state is served unchecked; any other token re-validates.
+    validated: Option<(String, u64)>,
 }
 
 /// How a search answer was produced (the response's `cache` field).
@@ -242,17 +274,10 @@ pub(crate) fn cluster_from_name(name: &str) -> Option<DeviceKind> {
     }
 }
 
-/// The outcome of a search request's fast phase (build + classify +
-/// store probe): either a complete response — parse/build errors and
-/// cache hits — or a plan for the slow, simulator-bound half.
-enum SearchFlow {
-    Done(Value),
-    Search(Box<SearchPlan>),
-}
-
 /// Everything the slow half of a search needs, prepared by
 /// [`Server::search_flow`] so the worker never repeats the store probe
-/// (which would double-count shard counters and LRU touches).
+/// (which would double-count shard counters and LRU touches) or the
+/// workload build.
 struct SearchPlan {
     req: SearchRequest,
     graph: OpGraph,
@@ -260,6 +285,19 @@ struct SearchPlan {
     class: u32,
     max_microbatches: u64,
     warm_dump: Option<StrategyDump>,
+}
+
+/// What a search answer says besides echoing its request: how it was
+/// produced, and the strategy as its rendered
+/// [`strategy_body`](crate::cache::strategy_body).
+struct Answer<'a> {
+    outcome: CacheOutcome,
+    class: u32,
+    microbatches: u64,
+    cost_us: f64,
+    evals: u64,
+    cached_evals: u64,
+    body: &'a str,
 }
 
 /// Decrements the in-flight search gauge on every exit path.
@@ -299,6 +337,7 @@ impl Server {
         Self {
             cfg,
             store,
+            workloads: Mutex::default(),
             stats: ServeStats::default(),
             shutdown: AtomicBool::new(false),
             active_searches: AtomicU64::new(0),
@@ -340,31 +379,53 @@ impl Server {
     /// (without trailing newline). Never panics on untrusted input.
     pub fn handle_line(&self, line: &str) -> String {
         let t0 = Instant::now();
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let resp = match protocol::parse_envelope(line) {
-            Err(e) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                protocol::error_response(&e)
-            }
-            Ok(envelope) => {
-                let value = match envelope.request {
-                    Request::Stats => self.stats_value(),
-                    Request::Shutdown => {
-                        self.shutdown.store(true, Ordering::Release);
-                        // Flush here as well as in the serve loops: the
-                        // verb must guarantee durability even for callers
-                        // driving handle_line directly.
-                        self.store.flush();
-                        json!({"status": "ok", "shutting_down": true})
-                    }
-                    Request::Search(req) => self.handle_search(&req),
-                };
-                render(envelope.version, value)
-            }
-        };
+        let mut out = String::new();
+        if let Some((plan, version)) = self.answer_inline(line, &mut out) {
+            self.run_search_plan(*plan, version, &mut out);
+        }
         self.stats
             .observe_latency(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
-        resp
+        out
+    }
+
+    /// The fast half of every request: parse errors, `stats`, `shutdown`
+    /// and cache hits are answered in full, appended to `out`. A search
+    /// that has to simulate appends nothing and comes back as its plan
+    /// (and the envelope version to answer in) for
+    /// [`Server::run_search_plan`].
+    fn answer_inline(&self, line: &str, out: &mut String) -> Option<(Box<SearchPlan>, u32)> {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let envelope = match protocol::parse_envelope(line) {
+            Ok(envelope) => envelope,
+            Err(e) => {
+                self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                out.push_str(&protocol::error_response(&e));
+                return None;
+            }
+        };
+        let version = envelope.version;
+        match envelope.request {
+            Request::Stats => out.push_str(&render(version, self.stats_value())),
+            Request::Shutdown => {
+                self.shutdown.store(true, Ordering::Release);
+                // Flush here as well as in the serve loops: the verb must
+                // guarantee durability even for callers driving
+                // handle_line directly.
+                self.store.flush();
+                out.push_str(&render(
+                    version,
+                    json!({"status": "ok", "shutting_down": true}),
+                ));
+            }
+            Request::Search(req) => match self.search_flow(&req, version, out) {
+                Ok(plan) => return plan.map(|plan| (plan, version)),
+                Err(e) => {
+                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                    out.push_str(&render(version, json!({"status": "error", "error": e})));
+                }
+            },
+        }
+        None
     }
 
     fn stats_value(&self) -> Value {
@@ -394,33 +455,66 @@ impl Server {
             "polish_runs": s.polish_runs.load(Ordering::Relaxed),
             "polish_published": s.polish_published.load(Ordering::Relaxed),
             "polish_evals": s.polish_evals.load(Ordering::Relaxed),
+            "graph_builds": s.graph_builds.load(Ordering::Relaxed),
         })
     }
 
-    /// Answers a search request from the store when possible, otherwise by
-    /// (warm-started) search; updates the store with whatever it learned.
-    fn handle_search(&self, req: &SearchRequest) -> Value {
-        match self.search_flow(req) {
-            SearchFlow::Done(value) => value,
-            SearchFlow::Search(plan) => self.run_search_plan(*plan),
+    /// The request's workload, built (and counted) on first use: a request
+    /// needs it at most once, whichever of its steps asks first.
+    fn built<'a>(
+        &self,
+        req: &SearchRequest,
+        slot: &'a mut Option<(OpGraph, Topology)>,
+    ) -> Result<&'a (OpGraph, Topology), String> {
+        if slot.is_none() {
+            *slot = Some(try_build_workload(req)?);
+            self.stats.graph_builds.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(slot.as_ref().expect("filled above"))
     }
 
-    /// Phase 1 of a search request — build the workload, classify it, and
-    /// probe the store. Completes in microseconds-to-milliseconds (no
-    /// simulation), so the TCP readiness loop runs it inline and only
-    /// dispatches [`SearchFlow::Search`] plans to the worker pool: cache
-    /// hits never pay a queue round-trip.
-    fn search_flow(&self, req: &SearchRequest) -> SearchFlow {
-        let (graph, topo) = match try_build_workload(req) {
-            Ok(pair) => pair,
-            Err(e) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                return SearchFlow::Done(json!({"status": "error", "error": e}));
+    fn workloads(&self) -> std::sync::MutexGuard<'_, HashMap<WorkloadKey, WorkloadMemo>> {
+        self.workloads
+            .lock()
+            .expect("no holder of the workload memo lock panics")
+    }
+
+    /// Phase 1 of a search request — resolve the workload's signatures,
+    /// classify the request, and probe the store. A repeat hit is a memo
+    /// probe, a shard probe and a copy of the stored body; nothing here
+    /// simulates, so the TCP readiness loop runs it inline and only
+    /// dispatches the returned plans to the worker pool: cache hits never
+    /// pay a queue round-trip. `Ok(None)` means a hit, answered in full
+    /// into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message of a workload that cannot be built.
+    fn search_flow(
+        &self,
+        req: &SearchRequest,
+        version: u32,
+        out: &mut String,
+    ) -> Result<Option<Box<SearchPlan>>, String> {
+        let key: WorkloadKey = (req.model.clone(), req.gpus, req.cluster);
+        let mut built = None;
+        let interned = self
+            .workloads()
+            .get(&key)
+            .map(|memo| (memo.graph_sig, memo.topo_sig));
+        let (graph_sig, topo_sig) = match interned {
+            Some(sigs) => sigs,
+            None => {
+                let (graph, topo) = self.built(req, &mut built)?;
+                let (graph_sig, topo_sig) = (graph_signature(graph), topo.signature());
+                self.workloads().entry(key.clone()).or_insert(WorkloadMemo {
+                    graph_sig,
+                    topo_sig,
+                    validated: None,
+                });
+                (graph_sig, topo_sig)
             }
         };
-        let graph_sig = graph_signature(&graph);
-        let topo_sig = topo.signature();
         // The floor is clamped to the same bound the protocol enforces on
         // requests: values past the cache key's microbatch component
         // would conflate distinct caps into one class.
@@ -430,63 +524,100 @@ impl Server {
             .min(protocol::MAX_MICROBATCHES);
         let class = composite_class(req.evals, max_microbatches, req.param_sync, req.recompute);
 
-        // Phase 1 (one shard lock, microseconds): classify the request
-        // and clone out whatever the store can contribute. Entries are
-        // immutable once stored, so validation happens after the lock is
-        // released — hits must not serialize on graph-sized work.
+        // One shard lock, microseconds: entries are immutable and shared,
+        // so whatever the store contributes is read (and, when due,
+        // validated) after the lock is released — hits must not serialize
+        // on graph-sized work.
         let mut warm_dump: Option<StrategyDump> = None;
         if !req.refresh {
             match self.store.lookup(graph_sig, topo_sig, class) {
-                StoreLookup::Hit { address, entry, .. } => {
+                StoreLookup::Hit {
+                    address,
+                    version: entry_version,
+                    entry,
+                } => {
                     // Validate before serving: a hash collision or corrupt
                     // record must degrade to a cold search, not a panic or
                     // a wrong answer. Validation is *structural* (shape,
                     // device range, config legality) — the cache key is
                     // the name-insensitive graph signature, so op names
-                    // must not be re-checked here.
-                    let record = entry.record;
-                    if (strategy_io::MIN_FORMAT_VERSION..=strategy_io::FORMAT_VERSION)
-                        .contains(&record.version)
-                        && strategy_io::import_structural(&graph, &topo, &record.dump).is_ok()
-                    {
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        self.stats
-                            .evals_saved
-                            .fetch_add(record.evals, Ordering::Relaxed);
-                        return SearchFlow::Done(self.search_response(
-                            req,
-                            CacheOutcome::Hit,
-                            class,
-                            record.cost_us,
-                            0,
-                            record.evals,
-                            &record.dump,
-                        ));
+                    // must not be re-checked here. Entries never change
+                    // under an `(address, version)`, so the check that
+                    // passed for this workload's graph once holds for
+                    // every later hit on the same token.
+                    let validated = self.workloads().get(&key).is_some_and(|memo| {
+                        memo.validated
+                            .as_ref()
+                            .is_some_and(|(a, v)| *a == address && *v == entry_version)
+                    });
+                    if !validated {
+                        let (graph, topo) = self.built(req, &mut built)?;
+                        let record = &entry.record;
+                        if !(strategy_io::MIN_FORMAT_VERSION..=strategy_io::FORMAT_VERSION)
+                            .contains(&record.version)
+                            || strategy_io::import_structural(graph, topo, &record.dump).is_err()
+                        {
+                            // Evict the invalid entry: `insert`'s
+                            // lower-cost-wins rule would otherwise let a
+                            // corrupt record with an optimistic cost pin
+                            // this address and force a cold search on
+                            // every future request.
+                            self.store.remove(&address);
+                            return self.plan(req, built, class, max_microbatches, None);
+                        }
+                        if let Some(memo) = self.workloads().get_mut(&key) {
+                            memo.validated = Some((address, entry_version));
+                        }
                     }
-                    // Evict the invalid entry: `insert`'s lower-cost-wins
-                    // rule would otherwise let a corrupt record with an
-                    // optimistic cost pin this address and force a cold
-                    // search on every future request.
-                    self.store.remove(&address);
+                    let record = &entry.record;
+                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                    self.stats
+                        .evals_saved
+                        .fetch_add(record.evals, Ordering::Relaxed);
+                    let answer = Answer {
+                        outcome: CacheOutcome::Hit,
+                        class,
+                        microbatches: record.dump.microbatches,
+                        cost_us: record.cost_us,
+                        evals: 0,
+                        cached_evals: record.evals,
+                        body: entry.body(),
+                    };
+                    write_search_response(out, version, req, &answer);
+                    return Ok(None);
                 }
                 StoreLookup::Warm(entry) => warm_dump = Some(entry.record.dump.clone()),
                 StoreLookup::Miss => {}
             }
         }
-        SearchFlow::Search(Box::new(SearchPlan {
+        self.plan(req, built, class, max_microbatches, warm_dump)
+    }
+
+    /// Wraps up phase 1 for a request that has to search.
+    fn plan(
+        &self,
+        req: &SearchRequest,
+        mut built: Option<(OpGraph, Topology)>,
+        class: u32,
+        max_microbatches: u64,
+        warm_dump: Option<StrategyDump>,
+    ) -> Result<Option<Box<SearchPlan>>, String> {
+        self.built(req, &mut built)?;
+        let (graph, topo) = built.expect("built above");
+        Ok(Some(Box::new(SearchPlan {
             req: req.clone(),
             graph,
             topo,
             class,
             max_microbatches,
             warm_dump,
-        }))
+        })))
     }
 
     /// Phases 2 and 3 of a search request: run the (warm-started) search
     /// and teach the store. This is the seconds-long half; it always runs
-    /// on a worker thread.
-    fn run_search_plan(&self, plan: SearchPlan) -> Value {
+    /// on a worker thread. Appends the answer to `out`.
+    fn run_search_plan(&self, plan: SearchPlan, version: u32, out: &mut String) {
         let SearchPlan {
             req,
             graph,
@@ -548,53 +679,24 @@ impl Server {
             result.best_cost_us,
             result.evals,
         );
-        let dump = record.dump.clone();
-        let entry = CacheEntry {
+        let body = strategy_body(&record.dump);
+        let answer = Answer {
+            outcome,
+            class,
+            microbatches: record.dump.microbatches,
+            cost_us: result.best_cost_us,
+            evals: result.evals,
+            cached_evals: result.evals,
+            body: &body,
+        };
+        write_search_response(out, version, &req, &answer);
+        self.store.insert(CacheEntry {
             budget_class: class,
             model: req.model.clone(),
             gpus: req.gpus,
             cluster: cluster_name(req.cluster).to_string(),
             record,
-        };
-        self.store.insert(entry);
-
-        self.search_response(
-            &req,
-            outcome,
-            class,
-            result.best_cost_us,
-            result.evals,
-            result.evals,
-            &dump,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_response(
-        &self,
-        req: &SearchRequest,
-        outcome: CacheOutcome,
-        class: u32,
-        cost_us: f64,
-        evals: u64,
-        cached_evals: u64,
-        dump: &StrategyDump,
-    ) -> Value {
-        json!({
-            "status": "ok",
-            "cache": outcome.as_str(),
-            "model": req.model,
-            "gpus": req.gpus,
-            "cluster": cluster_name(req.cluster),
-            "budget_class": class,
-            "microbatches": dump.microbatches,
-            "param_sync": req.param_sync,
-            "recompute": req.recompute,
-            "cost_us": cost_us,
-            "evals": evals,
-            "cached_evals": cached_evals,
-            "strategy": dump,
-        })
+        });
     }
 
     /// Batch ("oneshot") mode: reads every request line from `input`,
@@ -850,7 +952,10 @@ impl Server {
         struct Conn {
             stream: std::net::TcpStream,
             inbuf: Vec<u8>,
-            outbuf: Vec<u8>,
+            /// Answer lines not yet fully written; `written` bytes of it
+            /// are already on the wire. Cleared once everything is.
+            outbuf: String,
+            written: usize,
             pending: VecDeque<Pending>,
             last_activity: Instant,
             eof: bool,
@@ -875,8 +980,14 @@ impl Server {
                         rx.recv()
                     };
                     let Ok(job) = job else { break };
-                    let Job { plan, version, t0, reply } = job;
-                    let resp = render(version, self.run_search_plan(*plan));
+                    let Job {
+                        plan,
+                        version,
+                        t0,
+                        reply,
+                    } = job;
+                    let mut resp = String::new();
+                    self.run_search_plan(*plan, version, &mut resp);
                     self.stats.observe_latency(
                         u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
                     );
@@ -908,7 +1019,9 @@ impl Server {
                                 let _ = writeln!(
                                     stream,
                                     "{}",
-                                    protocol::busy_response("connection limit reached, retry later")
+                                    protocol::busy_response(
+                                        "connection limit reached, retry later"
+                                    )
                                 );
                                 continue;
                             }
@@ -921,7 +1034,8 @@ impl Server {
                             conns.push(Conn {
                                 stream,
                                 inbuf: Vec::new(),
-                                outbuf: Vec::new(),
+                                outbuf: String::new(),
+                                written: 0,
                                 pending: VecDeque::new(),
                                 last_activity: Instant::now(),
                                 eof: false,
@@ -970,62 +1084,49 @@ impl Server {
                             }
                         }
                     }
-                    while let Some(pos) = conn.inbuf.iter().position(|&b| b == b'\n') {
-                        let raw: Vec<u8> = conn.inbuf.drain(..=pos).collect();
-                        let line = String::from_utf8_lossy(&raw[..raw.len() - 1])
-                            .trim()
-                            .to_string();
+                    // Lines are parsed where they were read; what they
+                    // used is dropped from the buffer once per pass.
+                    let mut consumed = 0;
+                    while let Some(len) = conn.inbuf[consumed..].iter().position(|&b| b == b'\n') {
+                        let raw = &conn.inbuf[consumed..consumed + len];
+                        consumed += len + 1;
+                        let text = String::from_utf8_lossy(raw);
+                        let line = text.trim();
                         if line.is_empty() {
                             continue;
                         }
                         progressed = true;
                         if self.shutting_down() {
-                            conn.pending.push_back(Pending::Ready(protocol::error_response(
-                                "server is shutting down",
-                            )));
+                            conn.pending
+                                .push_back(Pending::Ready(protocol::error_response(
+                                    "server is shutting down",
+                                )));
                             continue;
                         }
                         // Fast path, inline on the readiness loop: parse
                         // errors, stats, shutdown and cache hits complete
                         // in microseconds — only plans that actually need
-                        // a simulator-bound search ride the job queue.
+                        // a simulator-bound search ride the job queue. An
+                        // inline answer with nothing queued ahead of it
+                        // goes straight into the socket buffer.
                         let t0 = Instant::now();
-                        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-                        let slow = match protocol::parse_envelope(&line) {
-                            Err(e) => {
-                                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                                Err(protocol::error_response(&e))
-                            }
-                            Ok(envelope) => {
-                                let version = envelope.version;
-                                match envelope.request {
-                                    Request::Stats => {
-                                        Err(render(version, self.stats_value()))
-                                    }
-                                    Request::Shutdown => {
-                                        self.shutdown.store(true, Ordering::Release);
-                                        self.store.flush();
-                                        Err(render(
-                                            version,
-                                            json!({"status": "ok", "shutting_down": true}),
-                                        ))
-                                    }
-                                    Request::Search(req) => match self.search_flow(&req) {
-                                        SearchFlow::Done(value) => Err(render(version, value)),
-                                        SearchFlow::Search(plan) => Ok((plan, version)),
-                                    },
-                                }
-                            }
+                        let direct = conn.pending.is_empty();
+                        let mut queued = String::new();
+                        let out = if direct {
+                            &mut conn.outbuf
+                        } else {
+                            &mut queued
                         };
-                        let (plan, version) = match slow {
-                            Err(resp) => {
-                                self.stats.observe_latency(
-                                    u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
-                                );
-                                conn.pending.push_back(Pending::Ready(resp));
-                                continue;
+                        let Some((plan, version)) = self.answer_inline(line, out) else {
+                            self.stats.observe_latency(
+                                u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
+                            );
+                            if direct {
+                                conn.outbuf.push('\n');
+                            } else {
+                                conn.pending.push_back(Pending::Ready(queued));
                             }
-                            Ok(pair) => pair,
+                            continue;
                         };
                         let (reply_tx, reply_rx) = mpsc::channel();
                         match job_tx.try_send(Job {
@@ -1040,9 +1141,10 @@ impl Server {
                                 // growing an unbounded backlog. The reply
                                 // still rides the ordered pending queue.
                                 self.stats.busy.fetch_add(1, Ordering::Relaxed);
-                                conn.pending.push_back(Pending::Ready(protocol::busy_response(
-                                    "job queue full, retry later",
-                                )));
+                                conn.pending
+                                    .push_back(Pending::Ready(protocol::busy_response(
+                                        "job queue full, retry later",
+                                    )));
                             }
                             Err(mpsc::TrySendError::Disconnected(_)) => {
                                 conn.dead = true;
@@ -1050,6 +1152,7 @@ impl Server {
                             }
                         }
                     }
+                    conn.inbuf.drain(..consumed);
                 }
 
                 // Collect finished replies in request order and write.
@@ -1079,11 +1182,11 @@ impl Server {
                         let Some(resp) = ready else { break };
                         progressed = true;
                         conn.last_activity = Instant::now();
-                        conn.outbuf.extend_from_slice(resp.as_bytes());
-                        conn.outbuf.push(b'\n');
+                        conn.outbuf.push_str(&resp);
+                        conn.outbuf.push('\n');
                     }
-                    while !conn.outbuf.is_empty() {
-                        match conn.stream.write(&conn.outbuf) {
+                    while conn.written < conn.outbuf.len() {
+                        match conn.stream.write(&conn.outbuf.as_bytes()[conn.written..]) {
                             Ok(0) => {
                                 conn.dead = true;
                                 break;
@@ -1091,7 +1194,7 @@ impl Server {
                             Ok(n) => {
                                 progressed = true;
                                 conn.last_activity = Instant::now();
-                                conn.outbuf.drain(..n);
+                                conn.written += n;
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1100,6 +1203,10 @@ impl Server {
                                 break;
                             }
                         }
+                    }
+                    if conn.written == conn.outbuf.len() {
+                        conn.outbuf.clear();
+                        conn.written = 0;
                     }
                 }
 
@@ -1164,6 +1271,35 @@ fn render(version: u32, value: Value) -> String {
         value
     };
     serde_json::to_string(&value).expect("serialize response")
+}
+
+/// The one writer of search answers — hit, warm and cold: the scalar
+/// fields go through the serializer as a closed object ([`render`], so
+/// `"v":2` leads on v2 and v1 stays the PR 4 dialect byte for byte), and
+/// the already-rendered strategy body is spliced in as its last member.
+fn write_search_response(out: &mut String, version: u32, req: &SearchRequest, a: &Answer<'_>) {
+    let head = render(
+        version,
+        json!({
+            "status": "ok",
+            "cache": a.outcome.as_str(),
+            "model": req.model,
+            "gpus": req.gpus,
+            "cluster": cluster_name(req.cluster),
+            "budget_class": a.class,
+            "microbatches": a.microbatches,
+            "param_sync": req.param_sync,
+            "recompute": req.recompute,
+            "cost_us": a.cost_us,
+            "evals": a.evals,
+            "cached_evals": a.cached_evals,
+        }),
+    );
+    out.reserve(head.len() + a.body.len() + 1);
+    out.push_str(&head[..head.len() - 1]);
+    out.push(',');
+    out.push_str(a.body);
+    out.push('}');
 }
 
 /// Builds the `(graph, topology)` pair a search request names — shared by

@@ -10,8 +10,9 @@
 //!   hex characters of the content address), so every entry for one op
 //!   graph — including all its warm candidates — lives in exactly one
 //!   shard and a lookup takes exactly one shard lock. Each shard is
-//!   LRU-bounded under configurable entry/byte budgets ([`CacheBounds`]),
-//!   counts its own hits/warm/miss/evictions, and persists to its own
+//!   LRU-bounded under configurable entry/byte budgets ([`CacheBounds`],
+//!   applied to **each shard**, not split across them), counts its own
+//!   hits/warm/miss/evictions, and persists to its own
 //!   `<cache>.shard-NN` file atomically (snapshot under the lock, write
 //!   outside it). A legacy single-file cache is migrated on first open —
 //!   read, distributed across shards, re-persisted per shard — while the
@@ -21,24 +22,34 @@
 //!   behind the same trait, kept so tests can swap the stores and pin
 //!   that the sharded path changes *performance*, not *answers*.
 //!
+//! Entries are immutable and live behind an `Arc` ([`StoredEntry`]: the
+//! entry, its parsed key, its rendered response body), so a lookup hands
+//! back a reference-counted pointer, not a copy of a 10 KB dump, and
+//! whoever holds one keeps reading a consistent entry whatever a later
+//! insert, upgrade or eviction does to the address.
+//!
 //! The store is also where the background polish daemon publishes its
 //! results: [`StrategyStore::upgrade`] is a version-checked compare-and-
 //! swap, so a polish result computed against a stale read can never
 //! clobber a better strategy that a concurrent insert published first.
 
-use crate::cache::{write_snapshot, CacheEntry, Lookup, StrategyCache};
+use crate::cache::{write_snapshot, CacheEntry, Lookup, StoredEntry, StrategyCache};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Entry- and byte-count budgets for one store (summed across shards the
-/// budgets are split evenly, remainder to the low shards).
+/// Entry- and byte-count budgets, enforced by **each shard** on its own
+/// entries: a [`ShardedStore`] of `n` shards holds up to `n` times these
+/// (`--cache-entries 8 --shards 2` keeps up to 16 strategies when their
+/// graph signatures fall evenly). The single-map [`LegacyStore`] is
+/// unbounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBounds {
-    /// Maximum number of cached strategies (0 means "no entries fit").
+    /// Maximum number of cached strategies per shard (0 means "no
+    /// entries fit").
     pub max_entries: usize,
-    /// Maximum total serialized size in bytes.
+    /// Maximum total serialized size per shard, in bytes.
     pub max_bytes: u64,
 }
 
@@ -68,7 +79,8 @@ impl Default for CacheBounds {
 
 /// An owned lookup answer (the trait-object analogue of
 /// [`crate::cache::Lookup`], which borrows from the cache and therefore
-/// cannot cross a shard-lock boundary).
+/// cannot cross a shard-lock boundary). Entries come back as shared
+/// pointers to the immutable stored form.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreLookup {
     /// Servable as-is: same graph + topology, searched at least as hard,
@@ -81,10 +93,10 @@ pub enum StoreLookup {
         /// Store version of the entry at read time (CAS token).
         version: u64,
         /// The served entry.
-        entry: CacheEntry,
+        entry: Arc<StoredEntry>,
     },
     /// A warm-start seed: same graph, wrong topology/budget/axis flags.
-    Warm(Box<CacheEntry>),
+    Warm(Arc<StoredEntry>),
     /// Nothing reusable.
     Miss,
 }
@@ -227,6 +239,35 @@ impl Shard {
         }
     }
 
+    /// The lookup both stores answer with: classify, count, and touch
+    /// the LRU recency of whichever entry contributed.
+    fn lookup(&mut self, graph_sig: u64, topo_sig: u64, class: u32) -> StoreLookup {
+        let (entry, hit) = match self.cache.lookup(graph_sig, topo_sig, class) {
+            Lookup::Hit(entry) => (Arc::clone(entry), true),
+            Lookup::Warm(entry) => (Arc::clone(entry), false),
+            Lookup::Miss => {
+                self.misses += 1;
+                return StoreLookup::Miss;
+            }
+        };
+        self.touch(entry.address());
+        if !hit {
+            self.warm += 1;
+            return StoreLookup::Warm(entry);
+        }
+        self.hits += 1;
+        let meta = self
+            .meta
+            .get_mut(entry.address())
+            .expect("hit entries have meta");
+        meta.hits += 1;
+        StoreLookup::Hit {
+            address: entry.address().to_string(),
+            version: meta.version,
+            entry,
+        }
+    }
+
     fn drop_entry(&mut self, address: &str) -> bool {
         let Some(meta) = self.meta.remove(address) else {
             return false;
@@ -240,11 +281,10 @@ impl Shard {
 
     /// Stores `entry` at its address with fresh meta, honoring the
     /// lower-cost-wins rule. Returns whether it landed.
-    fn store(&mut self, entry: CacheEntry, polish_round: u32) -> bool {
-        let Some(key) = entry.key() else { return false };
-        let address = key.address();
+    fn store(&mut self, entry: Arc<StoredEntry>, polish_round: u32) -> bool {
         let bytes = entry_bytes(&entry);
-        if !self.cache.insert(entry) {
+        let address = entry.address().to_string();
+        if !self.cache.insert_stored(entry) {
             return false;
         }
         if let Some(old) = self.meta.get(&address) {
@@ -286,11 +326,102 @@ impl Shard {
         }
     }
 
+    /// The version-checked publish behind [`StrategyStore::upgrade`].
+    fn upgrade(
+        &mut self,
+        address: &str,
+        expected_version: u64,
+        candidate: Arc<StoredEntry>,
+        bounds: &CacheBounds,
+    ) -> Upgrade {
+        let current = self.cache.get(address).map(|e| e.record.cost_us);
+        let meta = self.meta.get(address).cloned();
+        let (Some(cost), Some(meta)) = (current, meta) else {
+            // The entry was evicted while we searched: the polished
+            // strategy is still the best known answer — publish it.
+            return if self.store(candidate, 1) {
+                self.enforce(bounds);
+                Upgrade::Published
+            } else {
+                Upgrade::Lost
+            };
+        };
+        let wins = if meta.version == expected_version {
+            candidate.record.cost_us <= cost
+        } else {
+            // Someone republished this address since we read it; only a
+            // strictly better strategy may replace theirs.
+            candidate.record.cost_us < cost
+        };
+        if wins {
+            let round = meta.polish_round.saturating_add(1);
+            self.drop_entry(address);
+            if self.store(candidate, round) {
+                self.enforce(bounds);
+                Upgrade::Published
+            } else {
+                // The escalated address already held something at least
+                // as good — nothing was lost.
+                Upgrade::Lost
+            }
+        } else if meta.version == expected_version {
+            // Polish found no improvement: advance the round and cool
+            // the entry so the daemon moves on.
+            let m = self.meta.get_mut(address).expect("checked above");
+            m.polish_round = m.polish_round.saturating_add(1);
+            m.hits = 0;
+            Upgrade::NoImprovement
+        } else {
+            Upgrade::Lost
+        }
+    }
+
+    /// Replaces `best` with this shard's hottest entry if it is hotter
+    /// (see [`StrategyStore::hottest`] for the order).
+    fn hottest(&self, best: &mut Option<Hot>) {
+        for (address, meta) in &self.meta {
+            let better = best.as_ref().is_none_or(|(_, b, _)| {
+                (meta.hits, std::cmp::Reverse(meta.polish_round))
+                    > (b.hits, std::cmp::Reverse(b.polish_round))
+            });
+            if better {
+                let entry = self.cache.get(address).expect("meta tracks cache");
+                *best = Some((address.clone(), meta.clone(), Arc::clone(entry)));
+            }
+        }
+    }
+
+    fn stats(&self, index: usize) -> ShardStats {
+        ShardStats {
+            shard: index,
+            entries: self.cache.len(),
+            bytes: self.bytes,
+            hits: self.hits,
+            warm: self.warm,
+            misses: self.misses,
+            inserts: self.inserts,
+            evictions: self.evictions,
+        }
+    }
+
     /// Consistent snapshot for persistence; clears the dirty flag (the
     /// caller commits to writing what it took).
     fn snapshot(&mut self) -> String {
         self.dirty = false;
         self.cache.snapshot_json()
+    }
+}
+
+/// The running winner of a [`Shard::hottest`] scan across shards.
+type Hot = (String, EntryMeta, Arc<StoredEntry>);
+
+fn hot_entry((address, meta, entry): Hot) -> HotEntry {
+    HotEntry {
+        address,
+        version: meta.version,
+        hits: meta.hits,
+        polish_round: meta.polish_round,
+        entry: CacheEntry::clone(&entry),
     }
 }
 
@@ -311,6 +442,25 @@ fn address_graph_sig(address: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
+/// Writes a dirty shard to `path`: snapshot under the shard lock, write
+/// after releasing it, so lookups never wait for the disk. `writing` is
+/// held across both steps — of two inserts racing to persist, the later
+/// snapshot must also be the later rename, or the file ends up without an
+/// insert the shard no longer considers dirty.
+fn persist(shard: &Mutex<Shard>, writing: &Mutex<()>, path: &Path) {
+    let _writing = writing.lock().expect("cache file write lock");
+    let json = {
+        let mut shard = shard.lock().expect("shard lock");
+        if !shard.dirty {
+            return;
+        }
+        shard.snapshot()
+    };
+    if let Err(e) = write_snapshot(path, &json) {
+        eprintln!("serve: cache write failed for {path:?}: {e}");
+    }
+}
+
 /// The on-disk file for shard `index` of a store rooted at `base`.
 pub fn shard_path(base: &Path, index: usize) -> PathBuf {
     let name = base
@@ -324,6 +474,8 @@ pub fn shard_path(base: &Path, index: usize) -> PathBuf {
 /// per-shard atomic persistence. See the module docs for the layout.
 pub struct ShardedStore {
     shards: Vec<Mutex<Shard>>,
+    /// Orders the writes of each shard's file (see [`persist`]).
+    writing: Vec<Mutex<()>>,
     bounds: CacheBounds,
     path: Option<PathBuf>,
 }
@@ -343,6 +495,7 @@ impl ShardedStore {
     pub fn in_memory(shards: usize, bounds: CacheBounds) -> Self {
         Self {
             shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            writing: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             bounds,
             path: None,
         }
@@ -365,6 +518,7 @@ impl ShardedStore {
     pub fn open(path: &Path, shards: usize, bounds: CacheBounds) -> Result<Self, String> {
         let store = Self {
             shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            writing: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             bounds,
             path: Some(path.to_path_buf()),
         };
@@ -378,16 +532,15 @@ impl ShardedStore {
                 loaded.push(StrategyCache::load(f)?);
             }
         }
-        {
-            for cache in loaded {
-                for (_, entry) in cache.entries() {
-                    let Some(key) = entry.key() else { continue };
-                    let mut shard = store.shards[shard_of(key.graph_sig, store.shards.len())]
-                        .lock()
-                        .expect("shard lock");
-                    shard.store(entry.clone(), 0);
-                    shard.enforce(&store.bounds);
-                }
+        for cache in loaded {
+            for (_, entry) in cache.entries() {
+                let mut shard = store
+                    .shard_for(entry.cache_key().graph_sig)
+                    .1
+                    .lock()
+                    .expect("shard lock");
+                shard.store(Arc::clone(entry), 0);
+                shard.enforce(&store.bounds);
             }
         }
         if migrating && !store.is_empty() {
@@ -401,27 +554,24 @@ impl ShardedStore {
         Ok(store)
     }
 
-    /// Persists one shard if dirty: snapshot under the lock, write after
-    /// releasing it (same discipline as the PR 4 server's persist path).
+    /// Persists one shard if dirty.
     fn persist_shard(&self, index: usize) {
-        let Some(base) = &self.path else { return };
-        let json = {
-            let mut shard = self.shards[index].lock().expect("shard lock");
-            if !shard.dirty {
-                return;
-            }
-            shard.snapshot()
-        };
-        let path = shard_path(base, index);
-        if let Err(e) = write_snapshot(&path, &json) {
-            eprintln!("serve: cache shard write failed for {path:?}: {e}");
+        if let Some(base) = &self.path {
+            persist(
+                &self.shards[index],
+                &self.writing[index],
+                &shard_path(base, index),
+            );
         }
     }
 
-    fn shard_for_address<'a>(&'a self, address: &str) -> Option<(usize, &'a Mutex<Shard>)> {
-        let sig = address_graph_sig(address)?;
-        let index = shard_of(sig, self.shards.len());
-        Some((index, &self.shards[index]))
+    fn shard_for(&self, graph_sig: u64) -> (usize, &Mutex<Shard>) {
+        let index = shard_of(graph_sig, self.shards.len());
+        (index, &self.shards[index])
+    }
+
+    fn shard_for_address(&self, address: &str) -> Option<(usize, &Mutex<Shard>)> {
+        address_graph_sig(address).map(|sig| self.shard_for(sig))
     }
 }
 
@@ -457,54 +607,21 @@ pub fn existing_shard_files(base: &Path) -> Vec<PathBuf> {
 
 impl StrategyStore for ShardedStore {
     fn lookup(&self, graph_sig: u64, topo_sig: u64, class: u32) -> StoreLookup {
-        let mut shard = self.shards[shard_of(graph_sig, self.shards.len())]
+        let (_, mutex) = self.shard_for(graph_sig);
+        mutex
             .lock()
-            .expect("shard lock");
-        let (address, outcome) = match shard.cache.lookup(graph_sig, topo_sig, class) {
-            Lookup::Hit(entry) => {
-                let address = entry.key().expect("stored entries have keys").address();
-                let entry = entry.clone();
-                (Some(address.clone()), Some((address, entry, true)))
-            }
-            Lookup::Warm(entry) => {
-                let address = entry.key().expect("stored entries have keys").address();
-                let entry = entry.clone();
-                (Some(address.clone()), Some((address, entry, false)))
-            }
-            Lookup::Miss => (None, None),
-        };
-        if let Some(addr) = &address {
-            shard.touch(addr);
-        }
-        match outcome {
-            Some((address, entry, true)) => {
-                shard.hits += 1;
-                let meta = shard.meta.get_mut(&address).expect("hit entries have meta");
-                meta.hits += 1;
-                let version = meta.version;
-                StoreLookup::Hit {
-                    address,
-                    version,
-                    entry,
-                }
-            }
-            Some((_, entry, false)) => {
-                shard.warm += 1;
-                StoreLookup::Warm(Box::new(entry))
-            }
-            None => {
-                shard.misses += 1;
-                StoreLookup::Miss
-            }
-        }
+            .expect("shard lock")
+            .lookup(graph_sig, topo_sig, class)
     }
 
     fn insert(&self, entry: CacheEntry) -> bool {
-        let Some(key) = entry.key() else { return false };
-        let index = shard_of(key.graph_sig, self.shards.len());
+        let Some(entry) = StoredEntry::new(entry) else {
+            return false;
+        };
+        let (index, mutex) = self.shard_for(entry.cache_key().graph_sig);
         let stored = {
-            let mut shard = self.shards[index].lock().expect("shard lock");
-            let stored = shard.store(entry, 0);
+            let mut shard = mutex.lock().expect("shard lock");
+            let stored = shard.store(Arc::new(entry), 0);
             if stored {
                 shard.enforce(&self.bounds);
             }
@@ -528,7 +645,7 @@ impl StrategyStore for ShardedStore {
     }
 
     fn upgrade(&self, address: &str, expected_version: u64, candidate: CacheEntry) -> Upgrade {
-        let Some(cand_key) = candidate.key() else {
+        let Some(candidate) = StoredEntry::new(candidate) else {
             return Upgrade::Lost;
         };
         let Some((index, mutex)) = self.shard_for_address(address) else {
@@ -538,56 +655,16 @@ impl StrategyStore for ShardedStore {
         // may land at a *different* address than it was read from; both
         // share the graph signature, hence the shard — one lock keeps the
         // remove + insert atomic.
-        debug_assert_eq!(index, shard_of(cand_key.graph_sig, self.shards.len()));
-        let outcome = {
-            let mut shard = mutex.lock().expect("shard lock");
-            let current = shard.cache.get(address).map(|e| e.record.cost_us);
-            let meta = shard.meta.get(address).cloned();
-            let outcome = match (current, meta) {
-                (Some(cost), Some(meta)) => {
-                    let wins = if meta.version == expected_version {
-                        candidate.record.cost_us <= cost
-                    } else {
-                        // Someone republished this address since we read
-                        // it; only a strictly better strategy may replace
-                        // theirs.
-                        candidate.record.cost_us < cost
-                    };
-                    if wins {
-                        let round = meta.polish_round.saturating_add(1);
-                        shard.drop_entry(address);
-                        if shard.store(candidate, round) {
-                            shard.enforce(&self.bounds);
-                            Upgrade::Published
-                        } else {
-                            // The escalated address already held something
-                            // at least as good — nothing was lost.
-                            Upgrade::Lost
-                        }
-                    } else if meta.version == expected_version {
-                        // Polish found no improvement: advance the round
-                        // and cool the entry so the daemon moves on.
-                        let m = shard.meta.get_mut(address).expect("checked above");
-                        m.polish_round = m.polish_round.saturating_add(1);
-                        m.hits = 0;
-                        Upgrade::NoImprovement
-                    } else {
-                        Upgrade::Lost
-                    }
-                }
-                // The entry was evicted while we searched: the polished
-                // strategy is still the best known answer — publish it.
-                _ => {
-                    if shard.store(candidate, 1) {
-                        shard.enforce(&self.bounds);
-                        Upgrade::Published
-                    } else {
-                        Upgrade::Lost
-                    }
-                }
-            };
-            outcome
-        };
+        debug_assert_eq!(
+            index,
+            shard_of(candidate.cache_key().graph_sig, self.shards.len())
+        );
+        let outcome = mutex.lock().expect("shard lock").upgrade(
+            address,
+            expected_version,
+            Arc::new(candidate),
+            &self.bounds,
+        );
         if outcome == Upgrade::Published {
             self.persist_shard(index);
         }
@@ -595,27 +672,11 @@ impl StrategyStore for ShardedStore {
     }
 
     fn hottest(&self) -> Option<HotEntry> {
-        let mut best: Option<HotEntry> = None;
+        let mut best = None;
         for mutex in &self.shards {
-            let shard = mutex.lock().expect("shard lock");
-            for (address, meta) in &shard.meta {
-                let better = best.as_ref().is_none_or(|b| {
-                    (meta.hits, std::cmp::Reverse(meta.polish_round))
-                        > (b.hits, std::cmp::Reverse(b.polish_round))
-                });
-                if better {
-                    let entry = shard.cache.get(address).expect("meta tracks cache").clone();
-                    best = Some(HotEntry {
-                        address: address.clone(),
-                        version: meta.version,
-                        hits: meta.hits,
-                        polish_round: meta.polish_round,
-                        entry,
-                    });
-                }
-            }
+            mutex.lock().expect("shard lock").hottest(&mut best);
         }
-        best
+        best.map(hot_entry)
     }
 
     fn len(&self) -> usize {
@@ -642,19 +703,7 @@ impl StrategyStore for ShardedStore {
         self.shards
             .iter()
             .enumerate()
-            .map(|(index, mutex)| {
-                let shard = mutex.lock().expect("shard lock");
-                ShardStats {
-                    shard: index,
-                    entries: shard.cache.len(),
-                    bytes: shard.bytes,
-                    hits: shard.hits,
-                    warm: shard.warm,
-                    misses: shard.misses,
-                    inserts: shard.inserts,
-                    evictions: shard.evictions,
-                }
-            })
+            .map(|(index, mutex)| mutex.lock().expect("shard lock").stats(index))
             .collect()
     }
 }
@@ -664,6 +713,8 @@ impl StrategyStore for ShardedStore {
 #[derive(Debug)]
 pub struct LegacyStore {
     inner: Mutex<Shard>,
+    /// Orders the writes of the cache file (see [`persist`]).
+    writing: Mutex<()>,
     path: Option<PathBuf>,
 }
 
@@ -672,6 +723,7 @@ impl LegacyStore {
     pub fn in_memory() -> Self {
         Self {
             inner: Mutex::default(),
+            writing: Mutex::default(),
             path: None,
         }
     }
@@ -685,12 +737,13 @@ impl LegacyStore {
         let cache = StrategyCache::load(path)?;
         let store = Self {
             inner: Mutex::default(),
+            writing: Mutex::default(),
             path: Some(path.to_path_buf()),
         };
         {
             let mut shard = store.inner.lock().expect("store lock");
             for (_, entry) in cache.entries() {
-                shard.store(entry.clone(), 0);
+                shard.store(Arc::clone(entry), 0);
             }
             shard.dirty = false;
         }
@@ -698,61 +751,29 @@ impl LegacyStore {
     }
 
     fn persist(&self) {
-        let Some(path) = &self.path else { return };
-        let json = {
-            let mut shard = self.inner.lock().expect("store lock");
-            if !shard.dirty {
-                return;
-            }
-            shard.snapshot()
-        };
-        if let Err(e) = write_snapshot(path, &json) {
-            eprintln!("serve: cache write failed for {path:?}: {e}");
+        if let Some(path) = &self.path {
+            persist(&self.inner, &self.writing, path);
         }
     }
 }
 
 impl StrategyStore for LegacyStore {
     fn lookup(&self, graph_sig: u64, topo_sig: u64, class: u32) -> StoreLookup {
-        let mut shard = self.inner.lock().expect("store lock");
-        let outcome = match shard.cache.lookup(graph_sig, topo_sig, class) {
-            Lookup::Hit(entry) => {
-                let address = entry.key().expect("stored entries have keys").address();
-                Some((address, entry.clone(), true))
-            }
-            Lookup::Warm(entry) => {
-                let address = entry.key().expect("stored entries have keys").address();
-                Some((address, entry.clone(), false))
-            }
-            Lookup::Miss => None,
-        };
-        match outcome {
-            Some((address, entry, true)) => {
-                shard.touch(&address);
-                shard.hits += 1;
-                let meta = shard.meta.get_mut(&address).expect("hit entries have meta");
-                meta.hits += 1;
-                let version = meta.version;
-                StoreLookup::Hit {
-                    address,
-                    version,
-                    entry,
-                }
-            }
-            Some((address, entry, false)) => {
-                shard.touch(&address);
-                shard.warm += 1;
-                StoreLookup::Warm(Box::new(entry))
-            }
-            None => {
-                shard.misses += 1;
-                StoreLookup::Miss
-            }
-        }
+        self.inner
+            .lock()
+            .expect("store lock")
+            .lookup(graph_sig, topo_sig, class)
     }
 
     fn insert(&self, entry: CacheEntry) -> bool {
-        let stored = self.inner.lock().expect("store lock").store(entry, 0);
+        let Some(entry) = StoredEntry::new(entry) else {
+            return false;
+        };
+        let stored = self
+            .inner
+            .lock()
+            .expect("store lock")
+            .store(Arc::new(entry), 0);
         if stored {
             self.persist();
         }
@@ -768,43 +789,15 @@ impl StrategyStore for LegacyStore {
     }
 
     fn upgrade(&self, address: &str, expected_version: u64, candidate: CacheEntry) -> Upgrade {
-        let outcome = {
-            let mut shard = self.inner.lock().expect("store lock");
-            let current = shard.cache.get(address).map(|e| e.record.cost_us);
-            let meta = shard.meta.get(address).cloned();
-            match (current, meta) {
-                (Some(cost), Some(meta)) => {
-                    let wins = if meta.version == expected_version {
-                        candidate.record.cost_us <= cost
-                    } else {
-                        candidate.record.cost_us < cost
-                    };
-                    if wins {
-                        let round = meta.polish_round.saturating_add(1);
-                        shard.drop_entry(address);
-                        if shard.store(candidate, round) {
-                            Upgrade::Published
-                        } else {
-                            Upgrade::Lost
-                        }
-                    } else if meta.version == expected_version {
-                        let m = shard.meta.get_mut(address).expect("checked above");
-                        m.polish_round = m.polish_round.saturating_add(1);
-                        m.hits = 0;
-                        Upgrade::NoImprovement
-                    } else {
-                        Upgrade::Lost
-                    }
-                }
-                _ => {
-                    if shard.store(candidate, 1) {
-                        Upgrade::Published
-                    } else {
-                        Upgrade::Lost
-                    }
-                }
-            }
+        let Some(candidate) = StoredEntry::new(candidate) else {
+            return Upgrade::Lost;
         };
+        let outcome = self.inner.lock().expect("store lock").upgrade(
+            address,
+            expected_version,
+            Arc::new(candidate),
+            &CacheBounds::unbounded(),
+        );
         if outcome == Upgrade::Published {
             self.persist();
         }
@@ -812,25 +805,9 @@ impl StrategyStore for LegacyStore {
     }
 
     fn hottest(&self) -> Option<HotEntry> {
-        let shard = self.inner.lock().expect("store lock");
-        let mut best: Option<HotEntry> = None;
-        for (address, meta) in &shard.meta {
-            let better = best.as_ref().is_none_or(|b| {
-                (meta.hits, std::cmp::Reverse(meta.polish_round))
-                    > (b.hits, std::cmp::Reverse(b.polish_round))
-            });
-            if better {
-                let entry = shard.cache.get(address).expect("meta tracks cache").clone();
-                best = Some(HotEntry {
-                    address: address.clone(),
-                    version: meta.version,
-                    hits: meta.hits,
-                    polish_round: meta.polish_round,
-                    entry,
-                });
-            }
-        }
-        best
+        let mut best = None;
+        self.inner.lock().expect("store lock").hottest(&mut best);
+        best.map(hot_entry)
     }
 
     fn len(&self) -> usize {
@@ -846,17 +823,7 @@ impl StrategyStore for LegacyStore {
     }
 
     fn shard_stats(&self) -> Vec<ShardStats> {
-        let shard = self.inner.lock().expect("store lock");
-        vec![ShardStats {
-            shard: 0,
-            entries: shard.cache.len(),
-            bytes: shard.bytes,
-            hits: shard.hits,
-            warm: shard.warm,
-            misses: shard.misses,
-            inserts: shard.inserts,
-            evictions: shard.evictions,
-        }]
+        vec![self.inner.lock().expect("store lock").stats(0)]
     }
 }
 

@@ -456,3 +456,257 @@ fn serve_default_microbatches_raises_the_request_floor() {
     let r3 = server.handle_line(&lenet_req(40, r#","microbatches":8"#));
     assert_ne!(field_str(&r3, "cache"), "hit", "{r3}");
 }
+
+/// The `"strategy":{…}}` tail of a search answer.
+fn strategy_tail(resp: &str) -> &str {
+    &resp[resp
+        .find("\"strategy\":")
+        .expect("answer carries a strategy")..]
+}
+
+#[test]
+fn search_answers_are_canonical_and_hits_repeat_the_cold_strategy_bytes() {
+    // The six workloads ffbench's serve_hit reads, in both dialects.
+    const HEAD: [&str; 13] = [
+        "status",
+        "cache",
+        "model",
+        "gpus",
+        "cluster",
+        "budget_class",
+        "microbatches",
+        "param_sync",
+        "recompute",
+        "cost_us",
+        "evals",
+        "cached_evals",
+        "strategy",
+    ];
+    for (model, gpus) in [
+        ("lenet", 2),
+        ("alexnet", 4),
+        ("inception_v3", 4),
+        ("resnet101", 4),
+        ("rnnlm", 4),
+        ("nmt", 4),
+    ] {
+        let mut by_version = Vec::new();
+        for envelope in ["", r#""v":2,"verb":"search","#] {
+            let line = |evals: u64| {
+                format!(
+                    r#"{{{envelope}"model":"{model}","gpus":{gpus},"cluster":"p100","evals":{evals},"seed":42}}"#
+                )
+            };
+            let server = Server::new(ServerConfig::default());
+            // A larger budget class than anything stored: warm-started.
+            let answers = [
+                ("cold", server.handle_line(&line(8))),
+                ("hit", server.handle_line(&line(8))),
+                ("warm", server.handle_line(&line(20))),
+            ];
+            for (cache, resp) in &answers {
+                assert_eq!(field_str(resp, "cache"), *cache, "{resp}");
+                let value: serde_json::Value = serde_json::from_str(resp).expect("valid JSON");
+                assert_eq!(
+                    &serde_json::to_string(&value).unwrap(),
+                    resp,
+                    "not what the serializer writes for the value it parses to"
+                );
+                let keys: Vec<&str> = value
+                    .as_object()
+                    .expect("an object")
+                    .iter()
+                    .map(|(k, _)| k.as_str())
+                    .collect();
+                if envelope.is_empty() {
+                    assert_eq!(keys, HEAD, "{resp}");
+                } else {
+                    assert_eq!(keys[0], "v", "{resp}");
+                    assert_eq!(keys[1..], HEAD, "{resp}");
+                }
+            }
+            let [(_, cold), (_, hit), _] = &answers;
+            assert_eq!(strategy_tail(hit), strategy_tail(cold), "{model}");
+            assert_eq!(field_u64(hit, "evals"), 0);
+            by_version.push(answers);
+        }
+        // The dialects differ by the version marker and nothing else.
+        let [v1, v2] = &by_version[..] else {
+            unreachable!("two envelope versions")
+        };
+        for ((_, v1), (_, v2)) in v1.iter().zip(v2) {
+            assert_eq!(format!(r#"{{"v":2,{}"#, &v1[1..]), *v2);
+        }
+    }
+}
+
+fn graph_builds(server: &Server) -> u64 {
+    server
+        .stats()
+        .graph_builds
+        .load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// An entry at the address lenet@2xP100 searched at 40 evals stores
+/// under, holding a strategy no search would return (everything on
+/// device 1) at a claimed cost.
+fn lenet_entry(cost_us: f64) -> flexflow_server::CacheEntry {
+    use flexflow_core::strategy_io::export_record;
+    let graph = flexflow_opgraph::zoo::by_name("lenet", 64);
+    let topo = flexflow_device::clusters::paper_cluster(flexflow_device::DeviceKind::P100, 2);
+    let strategy = flexflow_core::Strategy::single_device(&graph, &topo, 1);
+    flexflow_server::CacheEntry {
+        budget_class: flexflow_server::budget_class(40),
+        model: "lenet".into(),
+        gpus: 2,
+        cluster: "p100".into(),
+        record: export_record(&graph, &topo, &strategy, cost_us, 40),
+    }
+}
+
+#[test]
+fn a_request_builds_its_graph_at_most_once_and_a_repeat_hit_never() {
+    let dir = std::env::temp_dir().join(format!("ff-serve-builds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = ServerConfig {
+        workers: 1,
+        cache_path: Some(dir.join("strategies.json")),
+        ..ServerConfig::default()
+    };
+    let server = Server::new(cfg.clone());
+    // Expects `request` to be answered `cache` with exactly `builds` more
+    // workloads built than before it.
+    let expect = |server: &Server, request: &str, cache: &str, builds: u64| {
+        let before = graph_builds(server);
+        let resp = server.handle_line(request);
+        assert_eq!(field_str(&resp, "cache"), cache, "{resp}");
+        assert_eq!(
+            graph_builds(server) - before,
+            builds,
+            "{request} -> {cache}"
+        );
+        resp
+    };
+
+    // First sight and a miss in one request: one build, not two.
+    expect(&server, &lenet_req(40, ""), "cold", 1);
+    // First hit on the entry: validated against the requester's graph.
+    expect(&server, &lenet_req(40, ""), "hit", 1);
+    // From here on a repeat hit does no graph work at all.
+    let before = graph_builds(&server);
+    for _ in 0..1000 {
+        let resp = server.handle_line(&lenet_req(40, ""));
+        assert_eq!(field_u64(&resp, "evals"), 0, "{resp}");
+    }
+    assert_eq!(graph_builds(&server), before, "repeat hits built a graph");
+    // A polish upgrade publishes a new entry state: validated once.
+    let hot = server.store().hottest().expect("the entry exists");
+    let mut better = hot.entry.clone();
+    better.record.cost_us /= 2.0;
+    assert_eq!(
+        server.store().upgrade(&hot.address, hot.version, better),
+        flexflow_server::Upgrade::Published
+    );
+    expect(&server, &lenet_req(40, ""), "hit", 1);
+    expect(&server, &lenet_req(40, ""), "hit", 0);
+    // Known workload, but a miss has to search: one build.
+    expect(&server, &lenet_req(300, ""), "warm", 1);
+    expect(&server, &lenet_req(40, r#","refresh":true"#), "cold", 1);
+    // The harder-searched entry the warm search stored now answers, and
+    // this workload has not validated it yet.
+    expect(&server, &lenet_req(40, ""), "hit", 1);
+    expect(&server, &lenet_req(40, ""), "hit", 0);
+    let stats = server.handle_line(r#"{"cmd":"stats"}"#);
+    assert_eq!(field_u64(&stats, "graph_builds"), graph_builds(&server));
+    drop(server);
+
+    // A reloaded entry: first sight of the workload and the validation
+    // of the loaded record share one build.
+    let reloaded = Server::new(cfg);
+    expect(&reloaded, &lenet_req(40, ""), "hit", 1);
+    expect(&reloaded, &lenet_req(40, ""), "hit", 0);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_published_upgrade_is_what_the_next_hit_serves() {
+    let server = Server::new(ServerConfig::default());
+    let cold = server.handle_line(&lenet_req(40, ""));
+    assert_eq!(field_str(&cold, "cache"), "cold");
+    let hit = server.handle_line(&lenet_req(40, ""));
+    assert_eq!(strategy_tail(&hit), strategy_tail(&cold));
+
+    // Publish another strategy for the same address the way polish does.
+    let hot = server.store().hottest().expect("entry exists");
+    let upgraded = lenet_entry(field_f64(&cold, "cost_us") / 2.0);
+    let body = flexflow_server::cache::strategy_body(&upgraded.record.dump);
+    assert_ne!(
+        format!("{body}}}"),
+        strategy_tail(&cold),
+        "a different strategy"
+    );
+    assert_eq!(
+        server
+            .store()
+            .upgrade(&hot.address, hot.version, upgraded.clone()),
+        flexflow_server::Upgrade::Published
+    );
+
+    // Entry and body swapped as one: the head and the tail of the next
+    // hit both come from the upgraded record, after a fresh validation.
+    let before = graph_builds(&server);
+    let hit = server.handle_line(&lenet_req(40, ""));
+    assert_eq!(field_str(&hit, "cache"), "hit", "{hit}");
+    assert_eq!(strategy_tail(&hit), format!("{body}}}"));
+    assert_eq!(
+        field_f64(&hit, "cost_us").to_bits(),
+        upgraded.record.cost_us.to_bits()
+    );
+    assert_eq!(field_u64(&hit, "cached_evals"), upgraded.record.evals);
+    assert_eq!(
+        graph_builds(&server) - before,
+        1,
+        "served without the check"
+    );
+}
+
+#[test]
+fn an_entry_poisoned_after_validation_is_still_evicted_not_served() {
+    use flexflow_core::strategy_io::export_record;
+
+    let server = Server::new(ServerConfig::default());
+    let cold = server.handle_line(&lenet_req(40, ""));
+    // The workload's memo now holds a validated token for the honest
+    // entry...
+    let hit = server.handle_line(&lenet_req(40, ""));
+    assert_eq!(field_str(&hit, "cache"), "hit");
+
+    // ...and a well-keyed record of another graph lands on the address,
+    // at a cost the lower-cost-wins rule cannot refuse.
+    let honest = lenet_entry(0.001);
+    let rnnlm = flexflow_opgraph::zoo::rnnlm(64, 2);
+    let rnnlm_topo = flexflow_device::clusters::uniform_cluster(1, 2, 16.0, 4.0);
+    let mut record = export_record(
+        &rnnlm,
+        &rnnlm_topo,
+        &flexflow_core::Strategy::data_parallel(&rnnlm, &rnnlm_topo),
+        0.001,
+        40,
+    );
+    record.graph_sig = honest.record.graph_sig.clone();
+    record.topo_sig = honest.record.topo_sig.clone();
+    let poisoned = flexflow_server::CacheEntry { record, ..honest };
+    let poison_body = flexflow_server::cache::strategy_body(&poisoned.record.dump);
+    assert!(server.store().insert(poisoned));
+
+    // The token names the honest entry's state, not this one: the hit is
+    // re-validated, fails, evicts, and the request searches cold.
+    let resp = server.handle_line(&lenet_req(40, ""));
+    assert_eq!(field_str(&resp, "cache"), "cold", "{resp}");
+    assert_ne!(strategy_tail(&resp), format!("{poison_body}}}"));
+    assert_eq!(strategy_tail(&resp), strategy_tail(&cold));
+    let resp = server.handle_line(&lenet_req(40, ""));
+    assert_eq!(field_str(&resp, "cache"), "hit", "{resp}");
+    assert_eq!(strategy_tail(&resp), strategy_tail(&cold));
+}

@@ -67,7 +67,10 @@ fn tcp_hammer_no_lost_responses_under_concurrent_load() {
 
         // Warm the cache so the burst is mostly hits (fast) with a few
         // searches mixed in; every client interleaves search and stats.
-        let prime = converse(&addr, &[r#"{"model":"lenet","gpus":2,"evals":25,"seed":1}"#.into()]);
+        let prime = converse(
+            &addr,
+            &[r#"{"model":"lenet","gpus":2,"evals":25,"seed":1}"#.into()],
+        );
         assert_eq!(field_str(&prime[0], "status"), "ok");
 
         let mut handles = Vec::new();
@@ -276,7 +279,13 @@ fn polish_upgrades_are_monotone_and_escalate() {
         improved,
         "a 12-eval rnnlm search must leave room for polish to strictly improve"
     );
-    assert!(server.stats().polish_runs.load(std::sync::atomic::Ordering::Relaxed) >= 1);
+    assert!(
+        server
+            .stats()
+            .polish_runs
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1
+    );
 
     // The polished entry still answers the original request — as a hit,
     // at the polished (better or equal) cost.
@@ -369,7 +378,9 @@ fn server_handle_builder_wires_the_whole_product() {
     let hot = server.store().hottest().expect("entry exists");
     let r = handle.handle_line(r#"{"model":"lenet","gpus":2,"evals":25,"seed":2}"#);
     assert_eq!(field_str(&r, "cache"), "hit", "{r}");
-    let hit_cost = response_field(&r, "cost_us").and_then(|v| v.as_f64()).unwrap();
+    let hit_cost = response_field(&r, "cost_us")
+        .and_then(|v| v.as_f64())
+        .unwrap();
     assert!(hit_cost <= hot.entry.record.cost_us + 1e-9);
     drop(handle); // joins the daemon
 
@@ -377,7 +388,9 @@ fn server_handle_builder_wires_the_whole_product() {
     // wires: the entry is still addressable directly.
     let key = hot.entry.key().expect("key");
     assert!(matches!(
-        server.store().lookup(key.graph_sig, key.topo_sig, key.budget_class),
+        server
+            .store()
+            .lookup(key.graph_sig, key.topo_sig, key.budget_class),
         StoreLookup::Hit { .. }
     ));
 }

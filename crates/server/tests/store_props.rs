@@ -223,6 +223,35 @@ proptest! {
     }
 }
 
+/// `--cache-entries` (and `--cache-bytes`) bound each shard, not the
+/// store: two shards of eight hold sixteen. ffbench's `serve_churn`
+/// (`--cache-entries 8 --shards 2`, 14 resident at the end) is sized on
+/// this.
+#[test]
+fn cache_bounds_apply_to_each_shard() {
+    let store = ShardedStore::in_memory(2, CacheBounds::entries(8));
+    // The shard is the signature's top byte modulo the shard count: ten
+    // graphs for either shard.
+    for g in 0..20u64 {
+        assert!(store.insert(entry(g << 56, 1, 7, 100.0)));
+    }
+    assert_eq!(store.len(), 16, "a full store holds shards x max_entries");
+    let stats = store.shard_stats();
+    assert_eq!(
+        stats
+            .iter()
+            .map(|s| (s.entries, s.evictions))
+            .collect::<Vec<_>>(),
+        [(8, 2), (8, 2)]
+    );
+    // Graphs that all fall into one shard get that shard's budget only.
+    let lopsided = ShardedStore::in_memory(2, CacheBounds::entries(8));
+    for g in 0..20u64 {
+        assert!(lopsided.insert(entry(g << 57, 1, 7, 100.0)));
+    }
+    assert_eq!(lopsided.len(), 8);
+}
+
 /// Parses `g<hex>-t<hex>-b<dec>` back into `(graph_sig, topo_sig)`.
 fn parse_addr(a: &str) -> (u64, u64) {
     let g = u64::from_str_radix(&a[1..17], 16).expect("graph sig");

@@ -61,8 +61,9 @@
 //! responses to stdout (the test and scripting mode); `--tcp HOST:PORT`
 //! runs the nonblocking TCP front end (connection-limited with in-band
 //! `busy` backpressure); otherwise the daemon listens on a Unix socket.
-//! `--cache-entries`/`--cache-bytes` bound the cache (LRU eviction);
-//! `--shards` sets the lock/file sharding. Long-lived front ends run a
+//! `--shards` sets the lock/file sharding; `--cache-entries`/`--cache-bytes`
+//! bound **each shard** (LRU eviction), so the cache as a whole holds up
+//! to `--shards` times as much. Long-lived front ends run a
 //! background polish daemon that re-searches the hottest cache entries
 //! at escalating budgets during idle cycles (`--no-polish` disables it).
 
@@ -96,7 +97,9 @@ fn usage() -> ExitCode {
          [--socket PATH | --tcp HOST:PORT | --oneshot] [--workers N] [--cache FILE]\n         \
          [--microbatches M] [--shards N] [--cache-entries N] [--cache-bytes B]\n         \
          [--max-conns N] [--no-polish]\n\
-         \npresets are hierarchical clusters named <kind>x<gpus>-ib, e.g. {}",
+         \n--cache-entries and --cache-bytes bound each of the --shards cache shards: \
+         the cache holds up to N x shards strategies\n\
+         presets are hierarchical clusters named <kind>x<gpus>-ib, e.g. {}",
         clusters::PRESET_EXAMPLES.join(", ")
     );
     ExitCode::from(2)
@@ -461,7 +464,7 @@ fn serve(args: &[String]) -> ExitCode {
             }
             other => {
                 eprintln!("unexpected argument {other:?}");
-                return ExitCode::from(2);
+                return usage();
             }
         }
     }
