@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flexflow_bench::sim_config;
 use flexflow_core::exhaustive::ExhaustiveSearch;
-use flexflow_core::optimizer::{Budget, McmcOptimizer};
+use flexflow_core::optimizer::{Budget, SearchRequest};
 use flexflow_core::strategy::Strategy;
 use flexflow_costmodel::MeasuredCostModel;
 use flexflow_device::clusters;
@@ -20,8 +20,7 @@ fn bench_mcmc(c: &mut Criterion) {
     let cost = MeasuredCostModel::paper_default();
     group.bench_function("lenet_100_proposals", |b| {
         b.iter(|| {
-            let mut opt = McmcOptimizer::new(1);
-            let r = opt.search(
+            let r = SearchRequest::new(1).chains(1).run(
                 &graph,
                 &topo,
                 &cost,

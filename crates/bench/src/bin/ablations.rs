@@ -11,7 +11,7 @@
 
 use flexflow_baselines::expert;
 use flexflow_bench::sim_config;
-use flexflow_core::optimizer::{Budget, McmcOptimizer};
+use flexflow_core::optimizer::{Budget, SearchRequest};
 use flexflow_core::sim::{simulate_full, SimConfig};
 use flexflow_core::soap::ConfigSpace;
 use flexflow_core::strategy::Strategy;
@@ -49,9 +49,7 @@ fn main() {
         "beta_scale", "best (ms)", "accept %"
     );
     for beta in [1.0, 5.0, 20.0, 80.0, 320.0] {
-        let mut opt = McmcOptimizer::new(0xAB1);
-        opt.beta_scale = beta;
-        let r = opt.search(
+        let r = SearchRequest::new(0xAB1).chains(1).beta_scale(beta).run(
             &graph,
             &topo,
             &cost,
@@ -89,8 +87,14 @@ fn main() {
     ];
     println!("{:>20} {:>14}", "initial set", "best (ms)");
     for (name, set) in sets {
-        let mut opt = McmcOptimizer::new(0xAB2);
-        let r = opt.search(&graph, &topo, &cost, &set, Budget::evaluations(evals), cfg);
+        let r = SearchRequest::new(0xAB2).chains(1).run(
+            &graph,
+            &topo,
+            &cost,
+            &set,
+            Budget::evaluations(evals),
+            cfg,
+        );
         println!("{:>20} {:>14.2}", name, r.best_cost_us / 1e3);
         points.push(AblationPoint {
             study: "init".into(),
@@ -103,8 +107,7 @@ fn main() {
     // 3. measurement cache (assumption A1)
     println!("\nAblation 3: measurement reuse (assumption A1)");
     let fresh_cost = MeasuredCostModel::paper_default();
-    let mut opt = McmcOptimizer::new(0xAB3);
-    let r = opt.search(
+    let r = SearchRequest::new(0xAB3).chains(1).run(
         &graph,
         &topo,
         &fresh_cost,

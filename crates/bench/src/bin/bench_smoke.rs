@@ -514,8 +514,7 @@ fn main() -> ExitCode {
     println!(
         "churn: {} accepted of {} inserts, peak {} entries (bound 64), \
          {} evictions, {} bound violations",
-        churn.accepted, churn.inserts, churn.peak_entries, churn.evictions,
-        churn.bound_violations
+        churn.accepted, churn.inserts, churn.peak_entries, churn.evictions, churn.bound_violations
     );
     let polish = serve_throughput::polish_gain(polish_evals, 11, 2);
     println!(
@@ -539,7 +538,7 @@ fn main() -> ExitCode {
         note: "proposal_evaluation: one MCMC proposal evaluated and reverted from a steady \
                data-parallel baseline (rnnlm batch 64, unroll 10); full = rebuild + sweep, \
                delta = transactional rebuild_op + journaled repair + rollback. \
-               search_throughput: ParallelSearch over the same workload at 1/2/4/8 chains \
+               search_throughput: SearchRequest over the same workload at 1/2/4/8 chains \
                (budget split across chains, exchange every 64 evals); proposals/sec from a \
                fixed-budget run, time-to-target from an early-cutoff run chasing \
                target_cost_us. serve_throughput: cache-hit requests/sec through the \

@@ -6,9 +6,8 @@
 //! what chain-level parallelism adds on top of the delta algorithm.
 
 use flexflow_bench::{eval_model, sim_config};
-use flexflow_core::optimizer::{
-    default_chains, Budget, McmcOptimizer, SearchRequest, SimAlgorithm,
-};
+use flexflow_core::optimizer::{default_chains, Budget, SearchRequest};
+use flexflow_core::sim::SimAlgorithm;
 use flexflow_core::strategy::Strategy;
 use flexflow_costmodel::MeasuredCostModel;
 use flexflow_device::{clusters, DeviceKind};
@@ -33,9 +32,7 @@ fn main() {
     println!("Figure 12: search progress on NMT, 16 P100 GPUs ({seconds}s budget per algorithm)");
     let mut all_points: Vec<CurvePoint> = Vec::new();
     for (name, algo) in [("full", SimAlgorithm::Full), ("delta", SimAlgorithm::Delta)] {
-        let mut opt = McmcOptimizer::new(12);
-        opt.algorithm = algo;
-        let result = opt.search(
+        let result = SearchRequest::new(12).chains(1).algorithm(algo).run(
             &graph,
             &topo,
             &cost,
@@ -52,19 +49,17 @@ fn main() {
             result.evals,
             result.best_cost_us / 1e3
         );
-        if algo == SimAlgorithm::Delta {
-            let t = result.telemetry;
-            println!(
-                "  txn telemetry: {} commits / {} rollbacks, {:.1} repair steps/proposal, \
-                 {} adaptive sweeps ({} budget fallbacks), journal depth max {}",
-                t.commits,
-                t.rollbacks,
-                t.repair_steps as f64 / t.applies.max(1) as f64,
-                t.sweeps,
-                t.fallbacks,
-                t.max_journal_depth
-            );
-        }
+        let t = result.telemetry;
+        println!(
+            "  txn telemetry: {} commits / {} rollbacks, {:.1} repair steps/proposal, \
+             {} sweeps ({} budget fallbacks), journal depth max {}",
+            t.commits,
+            t.rollbacks,
+            t.repair_steps as f64 / t.applies.max(1) as f64,
+            t.sweeps,
+            t.fallbacks,
+            t.max_journal_depth
+        );
         println!("{:>10} {:>14}", "elapsed(s)", "best cost(ms)");
         for &(t, c) in &result.trace {
             println!("{:>10.2} {:>14.2}", t, c / 1e3);

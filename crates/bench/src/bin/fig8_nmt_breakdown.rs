@@ -5,7 +5,7 @@
 
 use flexflow_baselines::expert;
 use flexflow_bench::{eval_model, metrics_of, sim_config};
-use flexflow_core::optimizer::{Budget, McmcOptimizer};
+use flexflow_core::optimizer::{Budget, SearchRequest};
 use flexflow_core::strategy::Strategy;
 use flexflow_costmodel::MeasuredCostModel;
 use flexflow_device::{clusters, DeviceKind};
@@ -38,9 +38,9 @@ fn main() {
     // FlexFlow seeds from the existing strategies (§6.2: "We use existing
     // strategies (e.g., data parallelism, expert-designed strategies) ...
     // as the initial candidates").
-    let mut opt = McmcOptimizer::new(8);
-    let ff = opt
-        .search(
+    let ff = SearchRequest::new(8)
+        .chains(1)
+        .run(
             &graph,
             &topo,
             &cost,

@@ -2,7 +2,7 @@
 //! configuration (NMT on 64 K80 GPUs)?
 
 use flexflow_baselines::expert;
-use flexflow_core::optimizer::{Budget, McmcOptimizer};
+use flexflow_core::optimizer::{Budget, SearchRequest};
 use flexflow_core::sim::{simulate_full, SimConfig};
 use flexflow_core::strategy::Strategy;
 use flexflow_core::taskgraph::TaskGraph;
@@ -54,8 +54,7 @@ fn main() {
 
     for evals in [5u64, 20] {
         let t = Instant::now();
-        let mut opt = McmcOptimizer::new(1);
-        let r = opt.search(
+        let r = SearchRequest::new(1).chains(1).run(
             &graph,
             &topo,
             &cost,

@@ -9,7 +9,8 @@
 //! `TABLE4_MODELS` (comma list).
 
 use flexflow_bench::{eval_model, sim_config};
-use flexflow_core::optimizer::{Budget, McmcOptimizer, SimAlgorithm};
+use flexflow_core::optimizer::{Budget, SearchRequest};
+use flexflow_core::sim::SimAlgorithm;
 use flexflow_core::soap::ConfigSpace;
 use flexflow_core::strategy::Strategy;
 use flexflow_costmodel::MeasuredCostModel;
@@ -63,10 +64,11 @@ fn main() {
                 .collect();
 
             let time_of = |algo: SimAlgorithm| {
-                let mut opt = McmcOptimizer::new(0xBEEF ^ gpus as u64);
-                opt.algorithm = algo;
+                let req = SearchRequest::new(0xBEEF ^ gpus as u64)
+                    .chains(1)
+                    .algorithm(algo);
                 let t0 = Instant::now();
-                let r = opt.search(
+                let r = req.run(
                     &graph,
                     &topo,
                     &cost,

@@ -7,7 +7,7 @@
 
 use flexflow_baselines::expert;
 use flexflow_core::metrics::SimMetrics;
-use flexflow_core::optimizer::{Budget, McmcOptimizer, SearchResult};
+use flexflow_core::optimizer::{Budget, SearchRequest, SearchResult};
 use flexflow_core::sim::{simulate_full, SimConfig};
 use flexflow_core::strategy::Strategy;
 use flexflow_core::taskgraph::TaskGraph;
@@ -132,8 +132,7 @@ pub fn run_contenders(
         16,
         &mut rng,
     );
-    let mut opt = McmcOptimizer::new(seed);
-    let result = opt.search(
+    let result = SearchRequest::new(seed).chains(1).run(
         graph,
         topo,
         &cost,
@@ -185,8 +184,7 @@ pub fn run_search_seeded(
         &mut rng,
     ));
     initials.extend_from_slice(extra);
-    let mut opt = McmcOptimizer::new(seed);
-    opt.search(
+    SearchRequest::new(seed).chains(1).run(
         graph,
         topo,
         cost,
@@ -260,7 +258,7 @@ pub mod proposal_bench {
 
 /// Workload + measurement helpers for the `search_throughput` benchmark
 /// (the multi-chain scaling half of `bench_smoke`): one MCMC search over
-/// RNNLM on a 4-GPU node, driven by [`flexflow_core::ParallelSearch`] at a
+/// RNNLM on a 4-GPU node, driven by [`flexflow_core::SearchRequest`] at a
 /// given chain count. Two numbers per chain count:
 ///
 /// - **proposals/sec**: a fixed total evaluation budget split across the
@@ -660,7 +658,10 @@ pub mod serve_throughput {
             writeln!(writer, "{line}").expect("prime");
             let mut resp = String::new();
             reader.read_line(&mut resp).expect("prime response");
-            assert!(resp.contains(r#""cache":"cold""#), "prime must be cold: {resp}");
+            assert!(
+                resp.contains(r#""cache":"cold""#),
+                "prime must be cold: {resp}"
+            );
             let (elapsed, ok, busy) = pump(&mut reader, &mut writer, line, requests);
             assert_eq!(busy, 0, "a single connection never overflows the queue");
             assert_eq!(ok, requests);
@@ -738,7 +739,10 @@ pub mod serve_throughput {
                 writeln!(writer, "{line}").expect("prime");
                 let mut resp = String::new();
                 reader.read_line(&mut resp).expect("prime response");
-                assert!(resp.contains(r#""cache":"cold""#), "prime must be cold: {resp}");
+                assert!(
+                    resp.contains(r#""cache":"cold""#),
+                    "prime must be cold: {resp}"
+                );
             }
             let t0 = Instant::now();
             let handles: Vec<_> = (0..clients)
@@ -747,8 +751,7 @@ pub mod serve_throughput {
                     s.spawn(move || {
                         let stream = std::net::TcpStream::connect(&addr).expect("connect");
                         stream.set_nodelay(true).expect("nodelay");
-                        let reader =
-                            std::io::BufReader::new(stream.try_clone().expect("clone"));
+                        let reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
                         pump(reader, stream, line, requests_per_client)
                     })
                 })

@@ -20,7 +20,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use flexflow_core::{Budget, McmcOptimizer, SimConfig, Strategy};
+//! use flexflow_core::{Budget, SearchRequest, SimConfig, Strategy};
 //! use flexflow_costmodel::MeasuredCostModel;
 //! use flexflow_device::clusters;
 //! use flexflow_opgraph::zoo;
@@ -30,8 +30,7 @@
 //! let cost = MeasuredCostModel::paper_default();
 //!
 //! let dp = Strategy::data_parallel(&graph, &topo);
-//! let mut opt = McmcOptimizer::new(0xF1EF);
-//! let result = opt.search(
+//! let result = SearchRequest::new(0xF1EF).chains(1).run(
 //!     &graph,
 //!     &topo,
 //!     &cost,
@@ -44,14 +43,17 @@
 //!
 //! # Transactional proposal evaluation
 //!
-//! Both drivers evaluate proposals through [`Simulator`]'s speculative
-//! `apply*` / `commit` / `rollback` API. The contract: every `apply*`
-//! opens one transaction on the task graph and the timeline, each
-//! mutation journals the *first-touch* prior state of whatever it
-//! overwrites, and `rollback` replays the journals backwards — restoring
-//! graph, timeline and strategy **bit-for-bit** (pinned by the
-//! `rollback_restores_*` tests). Rejected MCMC proposals therefore cost
-//! one delta repair plus a journal replay instead of a rebuild.
+//! The one search driver, [`SearchRequest`], evaluates every
+//! [`Proposal`] through [`Simulator::propose`] / `commit` / `rollback`,
+//! whichever [`SimAlgorithm`] the simulator was built with. The contract:
+//! `propose` makes the edit and opens one transaction; under delta
+//! simulation each mutation of the task graph and the timeline journals
+//! the *first-touch* prior state of whatever it overwrites (a sweep sets
+//! the displaced timeline aside whole), under full simulation the
+//! displaced task graph is set aside whole; `rollback` replays or swaps
+//! back — restoring graph, timeline and strategy **bit-for-bit** (pinned
+//! by the `rollback_restores_*` tests). A rejected MCMC proposal therefore
+//! never costs a second build or simulation.
 //!
 //! # Memory as a search constraint
 //!
@@ -75,10 +77,10 @@ pub mod taskgraph;
 pub use exhaustive::{ExhaustiveOutcome, ExhaustiveSearch};
 pub use metrics::SimMetrics;
 pub use optimizer::{
-    default_chains, split_budget, AcceptanceRule, Budget, McmcOptimizer, ParallelSearch,
-    SearchRequest, SearchResult, SharedBestCost, SimAlgorithm,
+    default_chains, split_budget, AcceptanceRule, Budget, SearchRequest, SearchResult,
+    SharedBestCost,
 };
-pub use sim::{SimConfig, SimState, Simulator};
+pub use sim::{SimAlgorithm, SimConfig, SimState, Simulator};
 pub use soap::{ConfigSpace, ParallelConfig, ParamSync, SyncPlan};
-pub use strategy::Strategy;
+pub use strategy::{Proposal, Strategy};
 pub use taskgraph::{ExecUnit, Task, TaskGraph, TaskId, TaskKind};

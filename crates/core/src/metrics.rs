@@ -7,14 +7,16 @@ use crate::sim::SimState;
 use crate::taskgraph::{ExecUnit, TaskGraph, TaskKind};
 use std::collections::HashMap;
 
-/// Telemetry of the transactional delta-simulation hot path, accumulated
-/// by [`crate::sim::Simulator`] across `apply`/`commit`/`rollback` calls
-/// and surfaced by the search loop (`flexflow search --verbose`). Makes
-/// the route each proposal took — sweep, repair, abandoned repair — and
-/// the repair effort observable instead of silent.
+/// Telemetry of the transactional proposal-evaluation hot path,
+/// accumulated by [`crate::sim::Simulator`] across
+/// `propose`/`commit`/`rollback` calls and surfaced by the search loop
+/// (`flexflow search --verbose`). Makes the route each proposal took —
+/// sweep, repair, abandoned repair — and the repair effort observable
+/// instead of silent. A full-simulation chain opens transactions too:
+/// every one of its proposals is a sweep that journals nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeltaTelemetry {
-    /// Speculative proposals applied (`Simulator::apply`).
+    /// Speculative proposals evaluated (`Simulator::propose`).
     pub applies: u64,
     /// Transactions kept (`Simulator::commit`, explicit or implicit).
     pub commits: u64,

@@ -11,21 +11,24 @@
 //! restart when its share of the budget is exhausted or when the best
 //! strategy has not improved for half of that share.
 //!
-//! Two drivers share the same chain loop:
+//! There is one driver, [`SearchRequest`]: `K` independent chains on
+//! scoped threads, seeded `seed ^ chain_id`, with the evaluation
+//! [`Budget`] split across chains, a shared atomic best-cost cell for the
+//! optional time-to-target cutoff, and a deterministic round-synchronized
+//! best-strategy exchange (a coarse parallel-tempering analogue). One
+//! chain is the paper's sequential setup: the exchange and the cell are
+//! inert when the only best they can report is the chain's own.
 //!
-//! - [`McmcOptimizer`] runs the chains sequentially on the calling thread
-//!   (the paper's setup, and the reference semantics);
-//! - [`ParallelSearch`] runs `K` independent chains on scoped threads,
-//!   seeded `seed ^ chain_id`, with the evaluation [`Budget`] split across
-//!   chains, a shared atomic best-cost cell for the optional
-//!   time-to-target cutoff, and a deterministic round-synchronized
-//!   best-strategy exchange (a coarse parallel-tempering analogue).
+//! The chain loop is propose → simulate → penalize → accept, through
+//! [`Simulator::propose`] / `commit` / `rollback`. Which oracle simulates
+//! (full or delta, [`SimAlgorithm`]) is a property of the simulator the
+//! chain builds; the loop is identical under both.
 
 use crate::memory::{self, MemBudget};
 use crate::metrics::DeltaTelemetry;
-use crate::sim::{SimConfig, Simulator};
+use crate::sim::{SimAlgorithm, SimConfig, Simulator};
 use crate::soap::{self, ConfigSpace, ParamSync};
-use crate::strategy::Strategy;
+use crate::strategy::{Proposal, Strategy};
 use flexflow_costmodel::CostModel;
 use flexflow_device::Topology;
 use flexflow_opgraph::OpGraph;
@@ -34,17 +37,6 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-
-/// Which simulation algorithm evaluates proposals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimAlgorithm {
-    /// Rebuild the task graph and simulate from scratch per proposal
-    /// (paper §5.2, the baseline).
-    Full,
-    /// Incrementally repair the previous timeline (paper §5.3).
-    #[default]
-    Delta,
-}
 
 /// Search budget: a maximum number of proposal evaluations and/or a
 /// wall-clock limit, applied per initial candidate.
@@ -141,20 +133,13 @@ pub struct SearchResult {
     /// Wall-clock seconds spent searching.
     pub elapsed_seconds: f64,
     /// `(elapsed_seconds, best_cost_us)` samples recorded whenever the
-    /// best cost improves (Fig. 12's search curve). Under
-    /// [`ParallelSearch`] the per-chain traces are merged into one
-    /// monotone curve of global improvements.
+    /// best cost improves (Fig. 12's search curve); the per-chain traces
+    /// are merged into one monotone curve of global improvements.
     pub trace: Vec<(f64, f64)>,
-    /// Delta-simulation fallbacks observed (non-zero on models whose
-    /// deep dependency chains make incremental repair costlier than a
-    /// fresh sweep).
-    pub fallbacks: u64,
     /// Transaction/repair telemetry aggregated over all restarts and all
-    /// chains (zero under [`SimAlgorithm::Full`], which never opens a
-    /// transaction).
+    /// chains.
     pub telemetry: DeltaTelemetry,
-    /// Proposals evaluated by each chain, indexed by chain id (a single
-    /// entry for the sequential [`McmcOptimizer`] driver).
+    /// Proposals evaluated by each chain, indexed by chain id.
     pub chain_evals: Vec<u64>,
 }
 
@@ -184,7 +169,7 @@ pub enum AcceptanceRule {
 /// are order-isomorphic to the values, so `fetch_min` over the bits *is*
 /// `min` over the costs — lock-free, wait-free, and linearizable. Chains
 /// publish every local-best improvement here; the cell is read for the
-/// [`ParallelSearch::target_cost_us`] early cutoff and never steers
+/// [`SearchRequest::target_cost_us`] early cutoff and never steers
 /// proposal generation, which keeps the search deterministic.
 #[derive(Debug)]
 pub struct SharedBestCost(AtomicU64);
@@ -225,7 +210,7 @@ impl Default for SharedBestCost {
 
 /// Round-synchronized best-strategy exchange between chains.
 ///
-/// Every [`ParallelSearch::exchange_every`] evaluations each live chain
+/// Every [`SearchRequest::exchange_every`] evaluations each live chain
 /// publishes its local best and blocks until the rest of the round
 /// arrives (a generation barrier); the last arriver computes the round's
 /// global best under the lock — a pure reduction over the published slots
@@ -362,18 +347,6 @@ impl Drop for AbandonOnPanic<'_> {
     }
 }
 
-/// Chain tunables shared by both drivers.
-#[derive(Debug, Clone, Copy)]
-struct ChainParams {
-    beta_scale: f64,
-    space: ConfigSpace,
-    algorithm: SimAlgorithm,
-    acceptance: AcceptanceRule,
-    max_microbatches: u64,
-    param_sync: bool,
-    recompute: bool,
-}
-
 /// Share of proposals spent on microbatch-count changes when pipelining
 /// is enabled (`max_microbatches > 1`): one in eight. Microbatching is a
 /// single global knob next to hundreds of per-op configs, but a change to
@@ -412,38 +385,18 @@ const OOM_PENALTY_US: f64 = 1e12;
 /// approach the feasible/infeasible gap [`OOM_PENALTY_US`] provides.
 const OOM_PENALTY_PER_MIB_US: f64 = 1e3;
 
-/// One step of the proposal distribution: one op's configuration is
-/// replaced (§6.2), or, when the respective axis is enabled, the
-/// strategy-wide microbatch count changes, one weighted layer's
-/// parameter-sync mode changes, or one op's recompute bit flips.
-enum Proposal {
-    Config(flexflow_opgraph::OpId, crate::soap::ParallelConfig),
-    Microbatches(u64),
-    ParamSync(flexflow_opgraph::OpId, ParamSync),
-    Recompute(flexflow_opgraph::OpId, bool),
-}
-
-/// Read-only search inputs shared by every chain.
+/// What every chain of one search shares: the request, the read-only
+/// search inputs and the cross-chain coordination handles.
 struct ChainCtx<'a> {
+    req: &'a SearchRequest,
     graph: &'a OpGraph,
     topo: &'a Topology,
     cost: &'a dyn CostModel,
     cfg: SimConfig,
-    params: ChainParams,
     initial: &'a [Strategy],
     t0: Instant,
-    /// Per-device memory budget: strategies whose peak footprint overflows
-    /// it are penalized in the accept step (`None` leaves costs untouched
-    /// — bit-identical to the unbudgeted search).
-    mem_budget: Option<&'a MemBudget>,
-}
-
-/// Cross-chain coordination handles (absent for the sequential driver).
-struct ChainShared<'a> {
     best: &'a SharedBestCost,
     exchange: &'a Exchange,
-    exchange_every: u64,
-    target_us: f64,
 }
 
 /// What one chain hands back to its driver.
@@ -457,31 +410,20 @@ struct ChainOutcome {
 }
 
 /// One MCMC chain: restarts from every initial strategy under `budget`,
-/// exactly the paper's §6.2 loop. With `shared` present the chain also
-/// publishes local-best improvements to the atomic cell, honors the
-/// time-to-target cutoff, and takes part in the exchange rounds.
-///
-/// This is the single source of truth for chain semantics: the sequential
-/// driver is `run_chain` with `shared = None`, and `ParallelSearch` with
-/// one chain runs the identical instruction stream (the exchange is inert
-/// when the global best is the chain's own), which is what makes
-/// `--chains 1` reproduce the legacy sequential result bit-for-bit.
-fn run_chain(
-    ctx: &ChainCtx<'_>,
-    budget: Budget,
-    rng: &mut StdRng,
-    shared: Option<&ChainShared<'_>>,
-    chain: usize,
-) -> ChainOutcome {
+/// exactly the paper's §6.2 loop. The chain also publishes local-best
+/// improvements to the atomic cell, honors the time-to-target cutoff, and
+/// takes part in the exchange rounds — all inert for a single chain, whose
+/// global best is its own.
+fn run_chain(ctx: &ChainCtx<'_>, budget: Budget, rng: &mut StdRng, chain: usize) -> ChainOutcome {
     let searchable = Strategy::searchable_ops(ctx.graph);
     assert!(!searchable.is_empty(), "graph has no searchable ops");
-    let p = ctx.params;
+    let req = ctx.req;
     let t0 = ctx.t0;
     // Microbatch proposals need at least two legal counts to move between;
     // with pipelining disabled (the default) this is empty and the chain's
     // RNG stream is untouched — bit-identical to the pre-pipeline search.
-    let mb_counts = if p.max_microbatches > 1 {
-        soap::legal_microbatch_counts(ctx.graph, p.max_microbatches)
+    let mb_counts = if req.max_microbatches > 1 {
+        soap::legal_microbatch_counts(ctx.graph, req.max_microbatches)
     } else {
         Vec::new()
     };
@@ -491,7 +433,7 @@ fn run_chain(
     // where parameters can be replicated at all. Otherwise the branch is
     // inert and consumes ZERO RNG draws — bit-identical to the pre-axis
     // search (the same guarantee the microbatch branch makes).
-    let sync_ops = if p.param_sync && ctx.cfg.include_param_sync {
+    let sync_ops = if req.param_sync && ctx.cfg.include_param_sync {
         soap::sync_ops(ctx.graph)
     } else {
         Vec::new()
@@ -512,7 +454,7 @@ fn run_chain(
     // axis disabled (the default) the list is empty and the branch is
     // inert — ZERO RNG draws, bit-identical to the pre-recompute search
     // (the same guarantee the microbatch and param-sync branches make).
-    let rc_ops: Vec<flexflow_opgraph::OpId> = if p.recompute {
+    let rc_ops: Vec<flexflow_opgraph::OpId> = if req.recompute {
         ctx.graph
             .ids()
             .filter(|&id| {
@@ -530,7 +472,7 @@ fn run_chain(
     // plus one microsecond per overflowing MiB. With no budget set the
     // closure is a constant 0.0 and the accept step is untouched.
     let oom_penalty = |s: &Strategy| -> f64 {
-        let Some(budget) = ctx.mem_budget else {
+        let Some(budget) = &req.mem_budget else {
             return 0.0;
         };
         let fp = memory::footprint(ctx.graph, ctx.topo, s);
@@ -579,7 +521,14 @@ fn run_chain(
         if !rc_enabled && init.has_recompute() {
             init = init.with_recompute_everywhere(false);
         }
-        let mut sim = Simulator::new(ctx.graph, ctx.topo, ctx.cost, ctx.cfg, init.clone());
+        let mut sim = Simulator::with_algorithm(
+            ctx.graph,
+            ctx.topo,
+            ctx.cost,
+            ctx.cfg,
+            init.clone(),
+            req.algorithm,
+        );
         // Beta is normalized by the *physical* initial cost so one
         // temperature suits all models; the OOM penalty only enters the
         // comparison costs, never the temperature.
@@ -588,9 +537,7 @@ fn run_chain(
         if best.as_ref().is_none_or(|(_, c)| current_cost < *c) {
             best = Some((init.clone(), current_cost));
             trace.push((t0.elapsed().as_secs_f64(), current_cost));
-            if let Some(sh) = shared {
-                sh.best.observe(current_cost);
-            }
+            ctx.best.observe(current_cost);
         }
         let mut since_improvement = 0u64;
         let patience = ((budget.max_evals as f64) * budget.patience_fraction) as u64;
@@ -600,16 +547,15 @@ fn run_chain(
         while restart_evals < budget.max_evals
             && restart_start.elapsed().as_secs_f64() < budget.max_seconds
         {
-            if let Some(sh) = shared {
-                if sh.target_us > 0.0 && sh.best.get() <= sh.target_us {
-                    cutoff = true;
-                    break;
-                }
+            if req.target_cost_us > 0.0 && ctx.best.get() <= req.target_cost_us {
+                cutoff = true;
+                break;
             }
             // Propose: one random op gets a fresh random configuration, or
-            // (when pipelining is enabled) the microbatch count changes.
-            // Under Delta the apply is speculative (journaled); the
-            // acceptance decision below commits or rolls it back.
+            // (when the respective axis is open) the microbatch count, one
+            // layer's sync mode or one op's recompute bit changes. The
+            // evaluation is speculative; the acceptance decision below
+            // commits or rolls it back.
             let proposal = if mb_enabled && rng.gen_range(0..MICROBATCH_PROPOSAL_ODDS) == 0 {
                 let current = sim.strategy().microbatches();
                 let choices: Vec<u64> = mb_counts
@@ -637,51 +583,10 @@ fn run_chain(
                 let op = searchable[rng.gen_range(0..searchable.len())];
                 Proposal::Config(
                     op,
-                    soap::random_config(ctx.graph.op(op), ctx.topo, p.space, rng),
+                    soap::random_config(ctx.graph.op(op), ctx.topo, req.space, rng),
                 )
             };
-            // Only the Full revert arm needs the previous value; under
-            // Delta the transaction itself remembers it for rollback.
-            let old = (p.algorithm == SimAlgorithm::Full).then(|| match &proposal {
-                Proposal::Config(op, _) => {
-                    Proposal::Config(*op, sim.strategy().config(*op).clone())
-                }
-                Proposal::Microbatches(_) => Proposal::Microbatches(sim.strategy().microbatches()),
-                Proposal::ParamSync(op, _) => {
-                    Proposal::ParamSync(*op, sim.strategy().param_sync(*op))
-                }
-                Proposal::Recompute(op, _) => {
-                    Proposal::Recompute(*op, sim.strategy().recompute(*op))
-                }
-            });
-            let raw_cost = match (p.algorithm, &proposal) {
-                (SimAlgorithm::Delta, Proposal::Config(op, config)) => {
-                    sim.apply(*op, config.clone())
-                }
-                (SimAlgorithm::Delta, Proposal::Microbatches(m)) => sim.apply_microbatches(*m),
-                (SimAlgorithm::Delta, Proposal::ParamSync(op, mode)) => {
-                    sim.apply_param_sync(*op, *mode)
-                }
-                (SimAlgorithm::Delta, Proposal::Recompute(op, on)) => sim.apply_recompute(*op, *on),
-                (SimAlgorithm::Full, _) => {
-                    let mut s = sim.strategy().clone();
-                    match &proposal {
-                        Proposal::Config(op, config) => {
-                            s.replace(*op, config.clone());
-                        }
-                        Proposal::Microbatches(m) => {
-                            s.set_microbatches(*m);
-                        }
-                        Proposal::ParamSync(op, mode) => {
-                            s.set_param_sync(*op, *mode);
-                        }
-                        Proposal::Recompute(op, on) => {
-                            s.set_recompute(*op, *on);
-                        }
-                    }
-                    sim.reset(s)
-                }
-            };
+            let raw_cost = sim.propose(proposal);
             // The post-apply strategy is the proposal; penalize it if it
             // overflows the budget (a no-op without one).
             let new_cost = raw_cost + oom_penalty(sim.strategy());
@@ -691,58 +596,31 @@ fn run_chain(
             // Acceptance (Eq. 2 by default), with beta normalized by
             // the restart's initial cost so one temperature suits all
             // models.
-            let beta = match p.acceptance {
-                AcceptanceRule::Metropolis => p.beta_scale / initial_cost,
+            let beta = match req.acceptance {
+                AcceptanceRule::Metropolis => req.beta_scale / initial_cost,
                 AcceptanceRule::Annealed { anneal_factor } => {
                     let progress = restart_evals as f64 / budget.max_evals.max(1) as f64;
-                    p.beta_scale * (1.0 + (anneal_factor - 1.0) * progress.min(1.0)) / initial_cost
+                    req.beta_scale * (1.0 + (anneal_factor - 1.0) * progress.min(1.0))
+                        / initial_cost
                 }
                 AcceptanceRule::Greedy => f64::INFINITY,
             };
             let accept = new_cost <= current_cost
                 || rng.gen::<f64>() < (beta * (current_cost - new_cost)).exp();
             if accept {
-                if p.algorithm == SimAlgorithm::Delta {
-                    sim.commit();
-                }
+                sim.commit();
                 accepted += 1;
                 current_cost = new_cost;
                 if best.as_ref().is_none_or(|(_, c)| new_cost < *c) {
                     best = Some((sim.strategy().clone(), new_cost));
                     trace.push((t0.elapsed().as_secs_f64(), new_cost));
                     since_improvement = 0;
-                    if let Some(sh) = shared {
-                        sh.best.observe(new_cost);
-                    }
+                    ctx.best.observe(new_cost);
                 } else {
                     since_improvement += 1;
                 }
             } else {
-                // Revert the rejected proposal: replay the undo journal
-                // under Delta (no second repair); rebuild under Full.
-                match p.algorithm {
-                    SimAlgorithm::Delta => {
-                        sim.rollback();
-                    }
-                    SimAlgorithm::Full => {
-                        let mut s = sim.strategy().clone();
-                        match old.expect("old value captured under Full") {
-                            Proposal::Config(op, config) => {
-                                s.replace(op, config);
-                            }
-                            Proposal::Microbatches(m) => {
-                                s.set_microbatches(m);
-                            }
-                            Proposal::ParamSync(op, mode) => {
-                                s.set_param_sync(op, mode);
-                            }
-                            Proposal::Recompute(op, on) => {
-                                s.set_recompute(op, on);
-                            }
-                        }
-                        sim.reset(s);
-                    }
-                }
+                sim.rollback();
                 since_improvement += 1;
             }
             if patience > 0 && since_improvement >= patience {
@@ -752,20 +630,17 @@ fn run_chain(
             // and restart from the global best when it strictly beats
             // everything this chain has found (never triggered by the
             // chain's own discoveries, so a single chain is unaffected).
-            if let Some(sh) = shared {
-                if sh.exchange_every > 0 && evals.is_multiple_of(sh.exchange_every) {
-                    let (lb_strategy, lb_cost) =
-                        best.as_ref().expect("local best set at restart entry");
-                    let local_bits = lb_cost.to_bits();
-                    let global = sh.exchange.rendezvous(chain, *lb_cost, lb_strategy);
-                    if let Some((gbits, gstrat)) = global {
-                        if gbits < local_bits {
-                            let adopted_cost =
-                                sim.reset(gstrat.clone()) + oom_penalty(sim.strategy());
-                            current_cost = adopted_cost;
-                            best = Some((gstrat, adopted_cost));
-                            since_improvement = 0;
-                        }
+            if req.exchange_every > 0 && evals.is_multiple_of(req.exchange_every) {
+                let (lb_strategy, lb_cost) =
+                    best.as_ref().expect("local best set at restart entry");
+                let local_bits = lb_cost.to_bits();
+                let global = ctx.exchange.rendezvous(chain, *lb_cost, lb_strategy);
+                if let Some((gbits, gstrat)) = global {
+                    if gbits < local_bits {
+                        let adopted_cost = sim.reset(gstrat.clone()) + oom_penalty(sim.strategy());
+                        current_cost = adopted_cost;
+                        best = Some((gstrat, adopted_cost));
+                        since_improvement = 0;
                     }
                 }
             }
@@ -775,9 +650,7 @@ fn run_chain(
     }
 
     let (best, best_cost_us) = best.expect("at least one candidate evaluated");
-    if let Some(sh) = shared {
-        sh.exchange.leave(chain, best_cost_us, &best);
-    }
+    ctx.exchange.leave(chain, best_cost_us, &best);
     ChainOutcome {
         best,
         best_cost_us,
@@ -788,224 +661,19 @@ fn run_chain(
     }
 }
 
-/// Metropolis-Hastings search over parallelization strategies, run
-/// sequentially on the calling thread (the reference driver; see
-/// [`ParallelSearch`] for the multi-chain production driver).
-#[derive(Debug, Clone)]
-pub struct McmcOptimizer {
-    rng: StdRng,
-    /// Acceptance temperature `beta`, scaled by the initial cost: the
-    /// effective exponent is `beta_scale * (cost - cost*) / cost_initial`.
-    pub beta_scale: f64,
-    /// Which slice of the configuration space proposals are drawn from.
-    pub space: ConfigSpace,
-    /// Which simulation algorithm evaluates proposals.
-    pub algorithm: SimAlgorithm,
-    /// How proposals are accepted.
-    pub acceptance: AcceptanceRule,
-    /// Upper bound on the microbatch count the `ChangeMicrobatches`
-    /// proposal may draw (1 disables pipelining entirely — no extra RNG
-    /// draws, bit-identical to the pre-pipeline search).
-    pub max_microbatches: u64,
-    /// Whether the `ChangeParamSync` proposal may retune per-layer
-    /// parameter synchronization (`false` disables the axis entirely —
-    /// no extra RNG draws, bit-identical to the pre-axis search).
-    pub param_sync: bool,
-    /// Whether the `ChangeRecompute` proposal may flip per-op activation
-    /// recomputation (`false` disables the axis entirely — no extra RNG
-    /// draws, bit-identical to the pre-recompute search).
-    pub recompute: bool,
-    /// Per-device memory budget: proposals whose peak footprint overflows
-    /// it are penalized in the accept step (`None` disables the check —
-    /// costs are bit-identical to the unbudgeted search).
-    pub mem_budget: Option<MemBudget>,
-}
-
-impl McmcOptimizer {
-    /// A new optimizer with the evaluation defaults (delta simulation,
-    /// full configuration space, `beta_scale = 20`: a proposal 5% worse
-    /// than the current strategy is accepted with probability `e^-1`).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-            beta_scale: 20.0,
-            space: ConfigSpace::Full,
-            algorithm: SimAlgorithm::Delta,
-            acceptance: AcceptanceRule::Metropolis,
-            max_microbatches: 1,
-            param_sync: false,
-            recompute: false,
-            mem_budget: None,
-        }
-    }
-
-    /// Runs the search from every initial strategy and returns the best
-    /// strategy found overall.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or the graph has no searchable ops.
-    pub fn search(
-        &mut self,
-        graph: &OpGraph,
-        topo: &Topology,
-        cost: &dyn CostModel,
-        initial: &[Strategy],
-        budget: Budget,
-        cfg: SimConfig,
-    ) -> SearchResult {
-        assert!(!initial.is_empty(), "need at least one initial strategy");
-        let t0 = Instant::now();
-        let ctx = ChainCtx {
-            graph,
-            topo,
-            cost,
-            cfg,
-            params: ChainParams {
-                beta_scale: self.beta_scale,
-                space: self.space,
-                algorithm: self.algorithm,
-                acceptance: self.acceptance,
-                max_microbatches: self.max_microbatches,
-                param_sync: self.param_sync,
-                recompute: self.recompute,
-            },
-            initial,
-            t0,
-            mem_budget: self.mem_budget.as_ref(),
-        };
-        let out = run_chain(&ctx, budget, &mut self.rng, None, 0);
-        SearchResult {
-            best: out.best,
-            best_cost_us: out.best_cost_us,
-            evals: out.evals,
-            accepted: out.accepted,
-            elapsed_seconds: t0.elapsed().as_secs_f64(),
-            trace: out.trace,
-            fallbacks: out.telemetry.fallbacks,
-            telemetry: out.telemetry,
-            chain_evals: vec![out.evals],
-        }
-    }
-}
-
 /// The default chain count: one chain per available hardware thread.
 pub fn default_chains() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Parallel multi-chain MCMC search: `K` independent Metropolis chains,
-/// each owning its own [`Simulator`] (task graph, timeline, scratch arena
-/// and undo journals — the per-thread transaction state that makes this
+/// Builder-style description of one multi-chain MCMC search, assembled
+/// with chained setters and executed with [`SearchRequest::run`] /
+/// [`SearchRequest::run_warm`]: `K` independent Metropolis chains, each
+/// owning its own [`Simulator`] (task graph, timeline, scratch arena and
+/// undo journals — the per-thread transaction state that makes this
 /// embarrassingly parallel), run under [`std::thread::scope`] and
 /// coordinated only through a [`SharedBestCost`] cell and the periodic
-/// best-strategy `Exchange`.
-///
-/// # Determinism
-///
-/// Chain `c` draws from `StdRng::seed_from_u64(seed ^ c)` and the exchange
-/// protocol is a generation barrier whose per-round reduction is a pure
-/// function of the chains' published bests (ties broken by chain id), so
-/// for a fixed evaluation budget the result depends only on
-/// `(seed, chains, exchange_every, budget)` — not on thread scheduling,
-/// core count, or machine load. `chains = 1` reproduces
-/// [`McmcOptimizer::search`] exactly for the same seed (CI pins both
-/// properties). Wall-clock budgets ([`Budget::max_seconds`]) and the
-/// [`ParallelSearch::target_cost_us`] cutoff stop chains at
-/// timing-dependent points and therefore trade the guarantee for speed.
-#[derive(Debug, Clone)]
-pub struct ParallelSearch {
-    /// Base RNG seed; chain `c` is seeded `seed ^ c`.
-    pub seed: u64,
-    /// Number of chains (>= 1; [`default_chains`] by default).
-    pub chains: usize,
-    /// Evaluations between best-strategy exchange points (0 disables the
-    /// exchange entirely; chains then only meet at the final reduction).
-    pub exchange_every: u64,
-    /// Early-cutoff target in microseconds: every chain stops as soon as
-    /// the shared best cost reaches it. `0.0` disables the cutoff. A
-    /// non-zero target makes the search race the clock and is therefore
-    /// not deterministic.
-    pub target_cost_us: f64,
-    /// Acceptance temperature (see [`McmcOptimizer::beta_scale`]).
-    pub beta_scale: f64,
-    /// Which slice of the configuration space proposals are drawn from.
-    pub space: ConfigSpace,
-    /// Which simulation algorithm evaluates proposals.
-    pub algorithm: SimAlgorithm,
-    /// How proposals are accepted.
-    pub acceptance: AcceptanceRule,
-    /// Upper bound on the microbatch count the `ChangeMicrobatches`
-    /// proposal may draw (1 disables pipelining — see
-    /// [`McmcOptimizer::max_microbatches`]).
-    pub max_microbatches: u64,
-    /// Whether the `ChangeParamSync` proposal may retune per-layer
-    /// parameter synchronization (see [`McmcOptimizer::param_sync`]).
-    pub param_sync: bool,
-    /// Whether the `ChangeRecompute` proposal may flip per-op activation
-    /// recomputation (see [`McmcOptimizer::recompute`]).
-    pub recompute: bool,
-    /// Per-device memory budget (see [`McmcOptimizer::mem_budget`]).
-    pub mem_budget: Option<MemBudget>,
-}
-
-impl ParallelSearch {
-    /// A new parallel driver with the evaluation defaults and one chain
-    /// per available hardware thread.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            chains: default_chains(),
-            exchange_every: 256,
-            target_cost_us: 0.0,
-            beta_scale: 20.0,
-            space: ConfigSpace::Full,
-            algorithm: SimAlgorithm::Delta,
-            acceptance: AcceptanceRule::Metropolis,
-            max_microbatches: 1,
-            param_sync: false,
-            recompute: false,
-            mem_budget: None,
-        }
-    }
-
-    /// [`ParallelSearch::new`] with an explicit chain count.
-    pub fn with_chains(seed: u64, chains: usize) -> Self {
-        Self {
-            chains,
-            ..Self::new(seed)
-        }
-    }
-
-    /// The [`SearchRequest`] equivalent to this driver's knobs — the
-    /// non-deprecated way to run the search these fields describe.
-    pub fn request(&self) -> SearchRequest {
-        SearchRequest {
-            seed: self.seed,
-            chains: self.chains,
-            exchange_every: self.exchange_every,
-            target_cost_us: self.target_cost_us,
-            beta_scale: self.beta_scale,
-            space: self.space,
-            algorithm: self.algorithm,
-            acceptance: self.acceptance,
-            max_microbatches: self.max_microbatches,
-            param_sync: self.param_sync,
-            recompute: self.recompute,
-            mem_budget: self.mem_budget.clone(),
-        }
-    }
-}
-
-/// Builder-style description of one multi-chain MCMC search: every knob
-/// of [`ParallelSearch`] plus the parameter-sync axis, assembled with
-/// chained setters and executed with [`SearchRequest::run`] /
-/// [`SearchRequest::run_warm`].
-///
-/// This is the single entry point the drivers' public surfaces converge
-/// on (the old `ParallelSearch::search`/`search_warm` methods were
-/// deleted once every caller migrated), so new search knobs land here
-/// once instead of growing every call site's parameter list.
+/// best-strategy `Exchange`. New search knobs land here once.
 ///
 /// ```
 /// # use flexflow_core::{SearchRequest, Budget, SimConfig, Strategy};
@@ -1027,9 +695,17 @@ impl ParallelSearch {
 /// assert!(r.best_cost_us > 0.0);
 /// ```
 ///
-/// Determinism matches [`ParallelSearch`]: for a fixed evaluation budget
-/// the result depends only on the request's fields, and `chains(1)`
-/// reproduces [`McmcOptimizer::search`] bit-for-bit for the same seed.
+/// # Determinism
+///
+/// Chain `c` draws from `StdRng::seed_from_u64(seed ^ c)` and the exchange
+/// protocol is a generation barrier whose per-round reduction is a pure
+/// function of the chains' published bests (ties broken by chain id), so
+/// for a fixed evaluation budget the result depends only on the request's
+/// fields — not on thread scheduling, core count, or machine load — and
+/// `chains(1)` returns the same result whatever `exchange_every` is (CI
+/// pins both). Wall-clock budgets ([`Budget::max_seconds`]) and the
+/// [`SearchRequest::target_cost_us`] cutoff stop chains at
+/// timing-dependent points and therefore trade the guarantee for speed.
 #[derive(Debug, Clone)]
 pub struct SearchRequest {
     /// Base RNG seed; chain `c` is seeded `seed ^ c`.
@@ -1041,11 +717,13 @@ pub struct SearchRequest {
     /// Early-cutoff target in microseconds (0.0 disables; non-zero trades
     /// determinism for time-to-target).
     pub target_cost_us: f64,
-    /// Acceptance temperature (see [`McmcOptimizer::beta_scale`]).
+    /// Acceptance temperature `beta`, scaled by the initial cost: the
+    /// effective exponent is `beta_scale * (cost - cost*) / cost_initial`.
     pub beta_scale: f64,
     /// Which slice of the configuration space proposals are drawn from.
     pub space: ConfigSpace,
-    /// Which simulation algorithm evaluates proposals.
+    /// Which simulation algorithm each chain's [`Simulator`] evaluates
+    /// proposals with.
     pub algorithm: SimAlgorithm,
     /// How proposals are accepted.
     pub acceptance: AcceptanceRule,
@@ -1065,10 +743,25 @@ pub struct SearchRequest {
 }
 
 impl SearchRequest {
-    /// A request with the evaluation defaults and one chain per available
-    /// hardware thread (the same defaults as [`ParallelSearch::new`]).
+    /// A request with the evaluation defaults: one chain per available
+    /// hardware thread, delta simulation, the full configuration space,
+    /// every extra axis closed, and `beta_scale = 20` (a proposal 5% worse
+    /// than the current strategy is accepted with probability `e^-1`).
     pub fn new(seed: u64) -> Self {
-        ParallelSearch::new(seed).request()
+        Self {
+            seed,
+            chains: default_chains(),
+            exchange_every: 256,
+            target_cost_us: 0.0,
+            beta_scale: 20.0,
+            space: ConfigSpace::Full,
+            algorithm: Default::default(), // delta
+            acceptance: AcceptanceRule::Metropolis,
+            max_microbatches: 1,
+            param_sync: false,
+            recompute: false,
+            mem_budget: None,
+        }
     }
 
     /// Sets the chain count.
@@ -1182,9 +875,9 @@ impl SearchRequest {
     /// Runs `chains` concurrent MCMC chains from every initial strategy
     /// and returns the globally best strategy found. The evaluation
     /// budget is split across chains ([`split_budget`]), so the total
-    /// proposal count matches the sequential driver's for the same
-    /// budget. When the budget is smaller than the chain count the
-    /// effective chain count is capped at the budget (a zero-eval chain
+    /// proposal count does not depend on the chain count. When the budget
+    /// is smaller than the chain count the effective chain count is
+    /// capped at the budget (a zero-eval chain
     /// would still pay one full simulator build per initial strategy
     /// just to exit; the cap is a pure function of the inputs, so
     /// determinism is unaffected) — `chain_evals` reports the effective
@@ -1213,36 +906,22 @@ impl SearchRequest {
         let budgets = split_budget(budget, chains);
         let best_cell = SharedBestCost::new();
         let exchange = Exchange::new(chains);
-        let shared = ChainShared {
-            best: &best_cell,
-            exchange: &exchange,
-            exchange_every: self.exchange_every,
-            target_us: self.target_cost_us,
-        };
         let ctx = ChainCtx {
+            req: self,
             graph,
             topo,
             cost,
             cfg,
-            params: ChainParams {
-                beta_scale: self.beta_scale,
-                space: self.space,
-                algorithm: self.algorithm,
-                acceptance: self.acceptance,
-                max_microbatches: self.max_microbatches,
-                param_sync: self.param_sync,
-                recompute: self.recompute,
-            },
             initial,
             t0,
-            mem_budget: self.mem_budget.as_ref(),
+            best: &best_cell,
+            exchange: &exchange,
         };
 
         let outcomes: Vec<ChainOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..chains)
                 .map(|c| {
                     let ctx = &ctx;
-                    let shared = &shared;
                     let chain_budget = budgets[c];
                     let seed = self.seed ^ c as u64;
                     s.spawn(move || {
@@ -1251,11 +930,11 @@ impl SearchRequest {
                         // panic propagates through the join below rather
                         // than deadlocking the scope.
                         let mut guard = AbandonOnPanic {
-                            exchange: shared.exchange,
+                            exchange: ctx.exchange,
                             armed: true,
                         };
                         let mut rng = StdRng::seed_from_u64(seed);
-                        let out = run_chain(ctx, chain_budget, &mut rng, Some(shared), c);
+                        let out = run_chain(ctx, chain_budget, &mut rng, c);
                         guard.armed = false;
                         out
                     })
@@ -1303,7 +982,6 @@ impl SearchRequest {
             accepted: outcomes.iter().map(|o| o.accepted).sum(),
             elapsed_seconds: t0.elapsed().as_secs_f64(),
             trace,
-            fallbacks: telemetry.fallbacks,
             telemetry,
             chain_evals: outcomes.iter().map(|o| o.evals).collect(),
         }
@@ -1317,29 +995,75 @@ mod tests {
     use flexflow_device::clusters;
     use flexflow_opgraph::zoo;
 
-    fn setup() -> (OpGraph, Topology, MeasuredCostModel) {
-        (
-            zoo::lenet(64),
-            clusters::uniform_cluster(1, 4, 16.0, 4.0),
-            MeasuredCostModel::paper_default(),
-        )
+    /// A workload the tests search: graph, cluster and cost oracle.
+    struct Env {
+        g: OpGraph,
+        topo: Topology,
+        cost: MeasuredCostModel,
     }
-    use flexflow_device::Topology;
+
+    impl Env {
+        fn new(g: OpGraph, topo: Topology) -> Self {
+            let cost = MeasuredCostModel::paper_default();
+            Env { g, topo, cost }
+        }
+
+        fn dp(&self) -> Strategy {
+            Strategy::data_parallel(&self.g, &self.topo)
+        }
+
+        /// The cost the simulator predicts for `s`.
+        fn cost_of(&self, s: &Strategy) -> f64 {
+            Simulator::new(
+                &self.g,
+                &self.topo,
+                &self.cost,
+                SimConfig::default(),
+                s.clone(),
+            )
+            .cost_us()
+        }
+
+        /// `req.run` under an evaluation budget and the default sim config.
+        fn search(&self, req: SearchRequest, inits: &[Strategy], evals: u64) -> SearchResult {
+            self.search_within(req, inits, Budget::evaluations(evals))
+        }
+
+        fn search_within(&self, req: SearchRequest, inits: &[Strategy], b: Budget) -> SearchResult {
+            req.run(
+                &self.g,
+                &self.topo,
+                &self.cost,
+                inits,
+                b,
+                SimConfig::default(),
+            )
+        }
+
+        /// `req.run_warm` under an evaluation budget.
+        fn search_warm(&self, req: SearchRequest, warm: Strategy, evals: u64) -> SearchResult {
+            let b = Budget::evaluations(evals);
+            req.run_warm(
+                &self.g,
+                &self.topo,
+                &self.cost,
+                warm,
+                b,
+                SimConfig::default(),
+            )
+        }
+    }
+
+    fn setup() -> Env {
+        Env::new(zoo::lenet(64), clusters::uniform_cluster(1, 4, 16.0, 4.0))
+    }
 
     #[test]
     fn search_never_worse_than_initial() {
-        let (g, topo, cost) = setup();
-        let dp = Strategy::data_parallel(&g, &topo);
-        let dp_cost = Simulator::new(&g, &topo, &cost, SimConfig::default(), dp.clone()).cost_us();
-        let mut opt = McmcOptimizer::new(1);
-        let r = opt.search(
-            &g,
-            &topo,
-            &cost,
-            &[dp],
-            Budget::evaluations(100),
-            SimConfig::default(),
-        );
+        let env = setup();
+        let dp = env.dp();
+        let dp_cost = env.cost_of(&dp);
+        let r = env.search(SearchRequest::new(1).chains(1), &[dp], 100);
         assert!(r.best_cost_us <= dp_cost + 1e-9);
         assert!(r.evals > 0);
         assert_eq!(r.chain_evals, vec![r.evals]);
@@ -1350,20 +1074,11 @@ mod tests {
         // Starting from a random strategy, the search must make progress
         // (random strategies scatter ops across devices and pay heavy
         // communication, leaving lots of headroom).
-        let (g, topo, cost) = setup();
+        let env = setup();
         let mut rng = rand::rngs::StdRng::seed_from_u64(100);
-        let random = Strategy::random(&g, &topo, crate::soap::ConfigSpace::Full, &mut rng);
-        let random_cost =
-            Simulator::new(&g, &topo, &cost, SimConfig::default(), random.clone()).cost_us();
-        let mut opt = McmcOptimizer::new(7);
-        let r = opt.search(
-            &g,
-            &topo,
-            &cost,
-            &[random],
-            Budget::evaluations(400),
-            SimConfig::default(),
-        );
+        let random = Strategy::random(&env.g, &env.topo, crate::soap::ConfigSpace::Full, &mut rng);
+        let random_cost = env.cost_of(&random);
+        let r = env.search(SearchRequest::new(7).chains(1), &[random], 400);
         assert!(
             r.best_cost_us < random_cost,
             "search should beat a random start: {} vs {random_cost}",
@@ -1373,16 +1088,8 @@ mod tests {
 
     #[test]
     fn trace_is_monotone_decreasing() {
-        let (g, topo, cost) = setup();
-        let mut opt = McmcOptimizer::new(3);
-        let r = opt.search(
-            &g,
-            &topo,
-            &cost,
-            &[Strategy::data_parallel(&g, &topo)],
-            Budget::evaluations(150),
-            SimConfig::default(),
-        );
+        let env = setup();
+        let r = env.search(SearchRequest::new(3).chains(1), &[env.dp()], 150);
         for w in r.trace.windows(2) {
             assert!(w[1].1 <= w[0].1, "trace must only improve");
             assert!(w[1].0 >= w[0].0, "trace times must be ordered");
@@ -1391,110 +1098,99 @@ mod tests {
 
     #[test]
     fn full_and_delta_find_comparable_strategies() {
-        let (g, topo, cost) = setup();
-        let init = [Strategy::data_parallel(&g, &topo)];
-        let budget = Budget::evaluations(120);
-        let mut a = McmcOptimizer::new(11);
-        a.algorithm = SimAlgorithm::Delta;
-        let ra = a.search(&g, &topo, &cost, &init, budget, SimConfig::default());
-        let mut b = McmcOptimizer::new(11);
-        b.algorithm = SimAlgorithm::Full;
-        let rb = b.search(&g, &topo, &cost, &init, budget, SimConfig::default());
-        // identical seeds + identical proposal streams -> identical results
-        assert!(
-            (ra.best_cost_us - rb.best_cost_us).abs() < 1e-6,
-            "delta {} vs full {}",
-            ra.best_cost_us,
-            rb.best_cost_us
-        );
+        // The two oracles price every proposal identically, so under the
+        // one loop they draw, accept and return the same search — bit for
+        // bit, on flat, multi-node and hierarchical clusters, with only
+        // the config axis open and with all four under a memory budget.
+        let workloads = [
+            (
+                zoo::rnnlm(64, 4),
+                clusters::uniform_cluster(1, 4, 16.0, 4.0),
+                150,
+            ),
+            (
+                zoo::lenet(64),
+                clusters::uniform_cluster(2, 2, 16.0, 4.0),
+                150,
+            ),
+            (
+                zoo::gpt_small(64),
+                clusters::preset("p100x16-ib").unwrap(),
+                24,
+            ),
+        ];
+        for (g, topo, evals) in workloads {
+            let env = Env::new(g, topo);
+            let inits = [env.dp()];
+            let config_only = |seed| SearchRequest::new(seed).chains(1);
+            let all_axes = |seed| {
+                config_only(seed)
+                    .max_microbatches(4)
+                    .param_sync(true)
+                    .recompute(true)
+                    .mem_budget(Some(MemBudget::device_defaults(&env.topo)))
+            };
+            for seed in 0..3 {
+                for req in [config_only(seed), all_axes(seed)] {
+                    let run =
+                        |algorithm| env.search(req.clone().algorithm(algorithm), &inits, evals);
+                    let (full, delta) = (run(SimAlgorithm::Full), run(SimAlgorithm::Delta));
+                    let cell = format!("{} seed {seed} axes {}", env.g.name(), req.recompute);
+                    assert_eq!(
+                        full.best_cost_us.to_bits(),
+                        delta.best_cost_us.to_bits(),
+                        "{cell}"
+                    );
+                    assert_eq!(full.best, delta.best, "{cell}");
+                    assert_eq!(full.evals, delta.evals, "{cell}");
+                    assert_eq!(full.accepted, delta.accepted, "{cell}");
+                }
+            }
+        }
     }
 
     #[test]
     fn multiple_initials_take_the_best() {
-        let (g, topo, cost) = setup();
-        let mut opt = McmcOptimizer::new(5);
-        let inits = [
-            Strategy::single_device(&g, &topo, 0),
-            Strategy::data_parallel(&g, &topo),
-        ];
-        let r = opt.search(
-            &g,
-            &topo,
-            &cost,
-            &inits,
-            Budget::evaluations(50),
-            SimConfig::default(),
-        );
+        let env = setup();
+        let inits = [Strategy::single_device(&env.g, &env.topo, 0), env.dp()];
+        let r = env.search(SearchRequest::new(5).chains(1), &inits, 50);
         // with both initials, the result is at least as good as plain DP
-        let dp_cost = Simulator::new(
-            &g,
-            &topo,
-            &cost,
-            SimConfig::default(),
-            Strategy::data_parallel(&g, &topo),
-        )
-        .cost_us();
+        let dp_cost = env.cost_of(&env.dp());
         assert!(r.best_cost_us <= dp_cost + 1e-9);
     }
 
     #[test]
     fn greedy_never_accepts_regressions() {
-        let (g, topo, cost) = setup();
-        let mut opt = McmcOptimizer::new(21);
-        opt.acceptance = AcceptanceRule::Greedy;
-        let r = opt.search(
-            &g,
-            &topo,
-            &cost,
-            &[Strategy::data_parallel(&g, &topo)],
-            Budget::evaluations(200),
-            SimConfig::default(),
+        let env = setup();
+        let r = env.search(
+            SearchRequest::new(21)
+                .chains(1)
+                .acceptance(AcceptanceRule::Greedy),
+            &[env.dp()],
+            200,
         );
         // with greedy acceptance, accepted count == number of improvements,
         // and the final best equals the walk's end (no escapes needed)
         assert!(r.accepted <= r.evals);
-        let dp_cost = Simulator::new(
-            &g,
-            &topo,
-            &cost,
-            SimConfig::default(),
-            Strategy::data_parallel(&g, &topo),
-        )
-        .cost_us();
+        let dp_cost = env.cost_of(&env.dp());
         assert!(r.best_cost_us <= dp_cost + 1e-9);
     }
 
     #[test]
     fn annealed_accepts_fewer_late_regressions_than_flat() {
-        let (g, topo, cost) = setup();
+        let env = setup();
         let budget = Budget {
             max_evals: 300,
             max_seconds: f64::INFINITY,
             patience_fraction: 1.0,
         };
-        let mut flat = McmcOptimizer::new(33);
-        flat.beta_scale = 5.0;
-        let rf = flat.search(
-            &g,
-            &topo,
-            &cost,
-            &[Strategy::data_parallel(&g, &topo)],
-            budget,
-            SimConfig::default(),
-        );
-        let mut annealed = McmcOptimizer::new(33);
-        annealed.beta_scale = 5.0;
-        annealed.acceptance = AcceptanceRule::Annealed {
+        let flat = SearchRequest::new(33).chains(1).beta_scale(5.0);
+        let annealed = flat.clone().acceptance(AcceptanceRule::Annealed {
             anneal_factor: 50.0,
-        };
-        let ra = annealed.search(
-            &g,
-            &topo,
-            &cost,
-            &[Strategy::data_parallel(&g, &topo)],
-            budget,
-            SimConfig::default(),
-        );
+        });
+        let inits = [env.dp()];
+        let rf = env.search_within(flat, &inits, budget);
+        let ra = env.search_within(annealed, &inits, budget);
         assert!(
             ra.accepted < rf.accepted,
             "cooling must reject more: annealed {} vs flat {}",
@@ -1506,67 +1202,48 @@ mod tests {
 
     #[test]
     fn patience_stops_early() {
-        let (g, topo, cost) = setup();
-        let mut opt = McmcOptimizer::new(9);
+        let env = setup();
         let budget = Budget {
             max_evals: 10_000,
             max_seconds: f64::INFINITY,
             patience_fraction: 0.01, // give up after 100 stale evals
         };
-        let r = opt.search(
-            &g,
-            &topo,
-            &cost,
-            &[Strategy::data_parallel(&g, &topo)],
-            budget,
-            SimConfig::default(),
-        );
+        let r = env.search_within(SearchRequest::new(9).chains(1), &[env.dp()], budget);
         assert!(r.evals < 10_000, "patience must cut the run short");
     }
 
     #[test]
-    fn one_chain_reproduces_the_sequential_driver() {
-        // ParallelSearch with a single chain must be the legacy search:
-        // same seed, same instruction stream, bit-identical result.
-        let (g, topo, cost) = setup();
-        let inits = [
-            Strategy::data_parallel(&g, &topo),
-            Strategy::single_device(&g, &topo, 0),
-        ];
-        let budget = Budget::evaluations(150);
-        let seq =
-            McmcOptimizer::new(42).search(&g, &topo, &cost, &inits, budget, SimConfig::default());
-        let par = ParallelSearch::with_chains(42, 1).request().run(
-            &g,
-            &topo,
-            &cost,
-            &inits,
-            budget,
-            SimConfig::default(),
-        );
-        assert_eq!(
-            seq.best_cost_us.to_bits(),
-            par.best_cost_us.to_bits(),
-            "costs must be bit-identical: {} vs {}",
-            seq.best_cost_us,
-            par.best_cost_us
-        );
-        assert_eq!(seq.best, par.best, "strategies must be identical");
-        assert_eq!(seq.evals, par.evals);
-        assert_eq!(seq.accepted, par.accepted);
-        assert_eq!(par.chain_evals, vec![par.evals]);
+    fn exchange_is_inert_for_one_chain() {
+        // A single chain's global best is its own, so the exchange period
+        // (off, every 64, every 256) must not change the search.
+        let env = setup();
+        let inits = [env.dp(), Strategy::single_device(&env.g, &env.topo, 0)];
+        let run = |every| {
+            env.search(
+                SearchRequest::new(42).chains(1).exchange_every(every),
+                &inits,
+                300,
+            )
+        };
+        let off = run(0);
+        for on in [run(64), run(256)] {
+            assert_eq!(off.best_cost_us.to_bits(), on.best_cost_us.to_bits());
+            assert_eq!(off.best, on.best, "strategies must be identical");
+            assert_eq!(off.evals, on.evals);
+            assert_eq!(off.accepted, on.accepted);
+            assert_eq!(on.chain_evals, vec![on.evals]);
+        }
     }
 
     #[test]
     fn parallel_search_is_deterministic_across_runs() {
-        let (g, topo, cost) = setup();
-        let inits = [Strategy::data_parallel(&g, &topo)];
+        let env = setup();
+        let inits = [env.dp()];
         let budget = Budget::evaluations(200);
         let run = || {
-            let mut ps = ParallelSearch::with_chains(7, 4);
-            ps.exchange_every = 16; // force several exchange rounds
-            ps.request()
-                .run(&g, &topo, &cost, &inits, budget, SimConfig::default())
+            // An exchange every 16 evaluations forces several rounds.
+            let req = SearchRequest::new(7).chains(4).exchange_every(16);
+            env.search_within(req, &inits, budget)
         };
         let a = run();
         let b = run();
@@ -1579,17 +1256,10 @@ mod tests {
 
     #[test]
     fn parallel_search_never_worse_than_initials() {
-        let (g, topo, cost) = setup();
-        let dp = Strategy::data_parallel(&g, &topo);
-        let dp_cost = Simulator::new(&g, &topo, &cost, SimConfig::default(), dp.clone()).cost_us();
-        let r = ParallelSearch::with_chains(3, 3).request().run(
-            &g,
-            &topo,
-            &cost,
-            &[dp],
-            Budget::evaluations(120),
-            SimConfig::default(),
-        );
+        let env = setup();
+        let dp = env.dp();
+        let dp_cost = env.cost_of(&dp);
+        let r = env.search(SearchRequest::new(3).chains(3), &[dp], 120);
         assert!(r.best_cost_us <= dp_cost + 1e-9);
         assert_eq!(r.chain_evals.len(), 3);
         for w in r.trace.windows(2) {
@@ -1600,17 +1270,12 @@ mod tests {
 
     #[test]
     fn parallel_search_aggregates_chain_telemetry() {
-        let (g, topo, cost) = setup();
-        let inits = [Strategy::data_parallel(&g, &topo)];
-        let mut ps = ParallelSearch::with_chains(11, 4);
-        ps.exchange_every = 32;
-        let r = ps.request().run(
-            &g,
-            &topo,
-            &cost,
+        let env = setup();
+        let inits = [env.dp()];
+        let r = env.search(
+            SearchRequest::new(11).chains(4).exchange_every(32),
             &inits,
-            Budget::evaluations(160),
-            SimConfig::default(),
+            160,
         );
         // Budget splitting: the chains' evals sum to the total.
         assert_eq!(r.evals, r.chain_evals.iter().sum::<u64>());
@@ -1626,21 +1291,15 @@ mod tests {
 
     #[test]
     fn target_cutoff_stops_the_search() {
-        let (g, topo, cost) = setup();
-        let dp = Strategy::data_parallel(&g, &topo);
-        let dp_cost = Simulator::new(&g, &topo, &cost, SimConfig::default(), dp.clone()).cost_us();
+        let env = setup();
+        let dp = env.dp();
+        let dp_cost = env.cost_of(&dp);
         // A target above the initial cost is hit immediately: the chains
         // must notice and stop well short of the eval budget.
-        let mut ps = ParallelSearch::with_chains(5, 2);
-        ps.target_cost_us = dp_cost * 2.0;
-        let r = ps.request().run(
-            &g,
-            &topo,
-            &cost,
-            &[dp],
-            Budget::evaluations(100_000),
-            SimConfig::default(),
-        );
+        let ps = SearchRequest::new(5)
+            .chains(2)
+            .target_cost_us(dp_cost * 2.0);
+        let r = env.search(ps.clone(), &[dp], 100_000);
         assert!(r.best_cost_us <= ps.target_cost_us);
         assert!(
             r.evals < 10_000,
@@ -1672,15 +1331,8 @@ mod tests {
     fn tiny_budgets_cap_the_chain_count() {
         // 3 evals across 8 requested chains: only 3 chains are worth
         // spinning up (a 0-eval chain still pays full simulator builds).
-        let (g, topo, cost) = setup();
-        let r = ParallelSearch::with_chains(1, 8).request().run(
-            &g,
-            &topo,
-            &cost,
-            &[Strategy::data_parallel(&g, &topo)],
-            Budget::evaluations(3),
-            SimConfig::default(),
-        );
+        let env = setup();
+        let r = env.search(SearchRequest::new(1).chains(8), &[env.dp()], 3);
         assert_eq!(r.chain_evals.len(), 3);
         assert_eq!(r.evals, 3);
     }
@@ -1691,8 +1343,8 @@ mod tests {
         // leave its peers blocked at the exchange barrier: whichever
         // order the rendezvous and the abandon land in, the surviving
         // chain's round completes and it gets a result back.
-        let (g, topo, _) = setup();
-        let dp = Strategy::data_parallel(&g, &topo);
+        let env = setup();
+        let dp = env.dp();
         let ex = Exchange::new(2);
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| ex.rendezvous(0, 1.0, &dp));
@@ -1710,43 +1362,27 @@ mod tests {
 
     #[test]
     fn warm_start_refines_its_seed_and_reaches_targets_faster() {
-        let (g, topo, cost) = setup();
-        let dp = Strategy::data_parallel(&g, &topo);
+        let env = setup();
+        let dp = env.dp();
 
         // A short cold search produces the "cached" seed.
-        let seed_run = ParallelSearch::with_chains(13, 1).request().run(
-            &g,
-            &topo,
-            &cost,
+        let seed_run = env.search(
+            SearchRequest::new(13).chains(1),
             std::slice::from_ref(&dp),
-            Budget::evaluations(120),
-            SimConfig::default(),
+            120,
         );
 
         // Warm-started search never returns worse than its seed.
-        let warm = ParallelSearch::with_chains(14, 1).request().run_warm(
-            &g,
-            &topo,
-            &cost,
-            seed_run.best.clone(),
-            Budget::evaluations(80),
-            SimConfig::default(),
-        );
+        let warm = env.search_warm(SearchRequest::new(14).chains(1), seed_run.best.clone(), 80);
         assert!(warm.best_cost_us <= seed_run.best_cost_us + 1e-9);
 
         // Chasing the seed's own cost as a target: the warm chain starts
         // there, so the cutoff fires without a single evaluation — the
         // property the serve bench gate quantifies.
-        let mut ps = ParallelSearch::with_chains(15, 1);
-        ps.target_cost_us = seed_run.best_cost_us;
-        let instant = ps.request().run_warm(
-            &g,
-            &topo,
-            &cost,
-            seed_run.best.clone(),
-            Budget::evaluations(10_000),
-            SimConfig::default(),
-        );
+        let ps = SearchRequest::new(15)
+            .chains(1)
+            .target_cost_us(seed_run.best_cost_us);
+        let instant = env.search_warm(ps, seed_run.best.clone(), 10_000);
         assert_eq!(instant.evals, 0, "target already met by the seed");
         assert_eq!(
             instant.best_cost_us.to_bits(),
@@ -1761,29 +1397,25 @@ mod tests {
         // whole-batch execution of the same seed, and the improvement must
         // actually come from pipelining on at least some seeds (the
         // cheaper single-op moves alone cannot overlap stages).
-        let g = zoo::rnnlm(64, 4);
-        let topo = clusters::uniform_cluster(1, 4, 16.0, 4.0);
-        let cost = MeasuredCostModel::paper_default();
-        let n = g.len();
-        let configs = g
+        let env = Env::new(
+            zoo::rnnlm(64, 4),
+            clusters::uniform_cluster(1, 4, 16.0, 4.0),
+        );
+        let n = env.g.len();
+        let configs = env
+            .g
             .ids()
             .map(|id| {
-                let dev = topo.device_id((id.index() * 4 / n).min(3));
-                crate::soap::ParallelConfig::on_device(g.op(id), dev)
+                let dev = env.topo.device_id((id.index() * 4 / n).min(3));
+                crate::soap::ParallelConfig::on_device(env.g.op(id), dev)
             })
             .collect();
-        let staged = Strategy::from_configs(&g, configs);
-        let staged_cost =
-            Simulator::new(&g, &topo, &cost, SimConfig::default(), staged.clone()).cost_us();
-        let mut ps = ParallelSearch::with_chains(3, 1);
-        ps.max_microbatches = 8;
-        let r = ps.request().run_warm(
-            &g,
-            &topo,
-            &cost,
+        let staged = Strategy::from_configs(&env.g, configs);
+        let staged_cost = env.cost_of(&staged);
+        let r = env.search_warm(
+            SearchRequest::new(3).chains(1).max_microbatches(8),
             staged,
-            Budget::evaluations(200),
-            SimConfig::default(),
+            200,
         );
         assert!(
             r.best_cost_us < staged_cost,
@@ -1807,24 +1439,15 @@ mod tests {
         // driver. A regression that draws per-proposal even when inert
         // (e.g. hoisting the gen_range above the mb_enabled check) shifts
         // every subsequent proposal and fails this test.
-        let g = zoo::lenet(7);
-        let topo = clusters::uniform_cluster(1, 4, 16.0, 4.0);
-        let cost = MeasuredCostModel::paper_default();
-        let inits = [Strategy::data_parallel(&g, &topo)];
+        let env = Env::new(zoo::lenet(7), clusters::uniform_cluster(1, 4, 16.0, 4.0));
+        let inits = [env.dp()];
         let budget = Budget::evaluations(120);
-        let disabled = ParallelSearch::with_chains(9, 2).request().run(
-            &g,
-            &topo,
-            &cost,
+        let disabled = env.search_within(SearchRequest::new(9).chains(2), &inits, budget);
+        let inert = env.search_within(
+            SearchRequest::new(9).chains(2).max_microbatches(6),
             &inits,
             budget,
-            SimConfig::default(),
         );
-        let mut ps = ParallelSearch::with_chains(9, 2);
-        ps.max_microbatches = 6;
-        let inert = ps
-            .request()
-            .run(&g, &topo, &cost, &inits, budget, SimConfig::default());
         assert_eq!(
             disabled.best_cost_us.to_bits(),
             inert.best_cost_us.to_bits()
@@ -1841,35 +1464,21 @@ mod tests {
         // chain could never propose `m` back down, so it would return a
         // strategy the caller declared unexecutable. The seed falls back
         // to whole-batch execution instead.
-        let (g, topo, cost) = setup();
-        let warm = Strategy::data_parallel(&g, &topo).with_microbatches(4);
-        let r = ParallelSearch::with_chains(5, 1).request().run_warm(
-            &g,
-            &topo,
-            &cost,
-            warm.clone(),
-            Budget::evaluations(40),
-            SimConfig::default(),
-        );
+        let env = setup();
+        let warm = env.dp().with_microbatches(4);
+        let r = env.search_warm(SearchRequest::new(5).chains(1), warm.clone(), 40);
         assert_eq!(r.best.microbatches(), 1, "cap 1 must clamp an m=4 seed");
 
         // Within the cap the seed's count survives: chasing the seed's
         // own (pipelined) cost as the target, the cutoff fires before a
         // single evaluation and hands back the m = 4 seed verbatim — a
         // clamped seed would start from the (different) whole-batch cost.
-        let seed_cost =
-            Simulator::new(&g, &topo, &cost, SimConfig::default(), warm.clone()).cost_us();
-        let mut ps = ParallelSearch::with_chains(5, 1);
-        ps.max_microbatches = 8;
-        ps.target_cost_us = seed_cost;
-        let r = ps.request().run_warm(
-            &g,
-            &topo,
-            &cost,
-            warm,
-            Budget::evaluations(10_000),
-            SimConfig::default(),
-        );
+        let seed_cost = env.cost_of(&warm);
+        let ps = SearchRequest::new(5)
+            .chains(1)
+            .max_microbatches(8)
+            .target_cost_us(seed_cost);
+        let r = env.search_warm(ps, warm, 10_000);
         assert_eq!(r.evals, 0, "the in-budget seed already meets the target");
         assert_eq!(r.best.microbatches(), 4);
         assert_eq!(r.best_cost_us.to_bits(), seed_cost.to_bits());
@@ -1882,26 +1491,14 @@ mod tests {
         // untouched — the same zero-extra-draw guarantee the microbatch
         // branch makes. A regression that draws per-proposal even when
         // the branch cannot fire shifts every later proposal.
-        let g = zoo::lenet(64);
-        let topo = clusters::uniform_cluster(1, 1, 16.0, 4.0);
-        let cost = MeasuredCostModel::paper_default();
-        let inits = [Strategy::data_parallel(&g, &topo)];
+        let env = Env::new(zoo::lenet(64), clusters::uniform_cluster(1, 1, 16.0, 4.0));
+        let inits = [env.dp()];
         let budget = Budget::evaluations(120);
-        let off = SearchRequest::new(17).chains(2).run(
-            &g,
-            &topo,
-            &cost,
+        let off = env.search_within(SearchRequest::new(17).chains(2), &inits, budget);
+        let on = env.search_within(
+            SearchRequest::new(17).chains(2).param_sync(true),
             &inits,
             budget,
-            SimConfig::default(),
-        );
-        let on = SearchRequest::new(17).chains(2).param_sync(true).run(
-            &g,
-            &topo,
-            &cost,
-            &inits,
-            budget,
-            SimConfig::default(),
         );
         assert_eq!(off.best_cost_us.to_bits(), on.best_cost_us.to_bits());
         assert_eq!(off.best, on.best);
@@ -1911,17 +1508,14 @@ mod tests {
 
     #[test]
     fn param_sync_search_is_deterministic_and_never_worse() {
-        let (g, topo, cost) = setup();
-        let dp = Strategy::data_parallel(&g, &topo);
-        let dp_cost = Simulator::new(&g, &topo, &cost, SimConfig::default(), dp.clone()).cost_us();
+        let env = setup();
+        let dp = env.dp();
+        let dp_cost = env.cost_of(&dp);
         let run = || {
-            SearchRequest::new(23).chains(2).param_sync(true).run(
-                &g,
-                &topo,
-                &cost,
+            env.search(
+                SearchRequest::new(23).chains(2).param_sync(true),
                 std::slice::from_ref(&dp),
-                Budget::evaluations(200),
-                SimConfig::default(),
+                200,
             )
         };
         let a = run();
@@ -1943,17 +1537,11 @@ mod tests {
         // search whose caller disabled the sync axis: no proposal could
         // ever flip the modes back, so the chain would return a strategy
         // the caller ruled out.
-        let (g, topo, cost) = setup();
-        let warm = Strategy::data_parallel(&g, &topo)
+        let env = setup();
+        let warm = env
+            .dp()
             .with_param_sync_everywhere(ParamSync::ShardedZero1 { shards: 4 });
-        let r = SearchRequest::new(5).chains(1).run_warm(
-            &g,
-            &topo,
-            &cost,
-            warm.clone(),
-            Budget::evaluations(40),
-            SimConfig::default(),
-        );
+        let r = env.search_warm(SearchRequest::new(5).chains(1), warm.clone(), 40);
         assert!(
             !r.best.has_custom_param_sync(),
             "axis-off search must clamp a ZeRO seed to all-reduce"
@@ -1962,20 +1550,15 @@ mod tests {
         // With the axis enabled the seed passes through: chasing the
         // seed's own cost as the target, the cutoff fires before a single
         // evaluation and hands back the ZeRO seed verbatim.
-        let seed_cost =
-            Simulator::new(&g, &topo, &cost, SimConfig::default(), warm.clone()).cost_us();
-        let r = SearchRequest::new(5)
-            .chains(1)
-            .param_sync(true)
-            .target_cost_us(seed_cost)
-            .run_warm(
-                &g,
-                &topo,
-                &cost,
-                warm,
-                Budget::evaluations(10_000),
-                SimConfig::default(),
-            );
+        let seed_cost = env.cost_of(&warm);
+        let r = env.search_warm(
+            SearchRequest::new(5)
+                .chains(1)
+                .param_sync(true)
+                .target_cost_us(seed_cost),
+            warm,
+            10_000,
+        );
         assert_eq!(r.evals, 0, "the in-budget seed already meets the target");
         assert!(r.best.has_custom_param_sync());
         assert_eq!(r.best_cost_us.to_bits(), seed_cost.to_bits());
@@ -1983,17 +1566,14 @@ mod tests {
 
     #[test]
     fn recompute_search_is_deterministic_and_never_worse() {
-        let (g, topo, cost) = setup();
-        let dp = Strategy::data_parallel(&g, &topo);
-        let dp_cost = Simulator::new(&g, &topo, &cost, SimConfig::default(), dp.clone()).cost_us();
+        let env = setup();
+        let dp = env.dp();
+        let dp_cost = env.cost_of(&dp);
         let run = || {
-            SearchRequest::new(29).chains(2).recompute(true).run(
-                &g,
-                &topo,
-                &cost,
+            env.search(
+                SearchRequest::new(29).chains(2).recompute(true),
                 std::slice::from_ref(&dp),
-                Budget::evaluations(200),
-                SimConfig::default(),
+                200,
             )
         };
         let a = run();
@@ -2016,16 +1596,9 @@ mod tests {
         // a search whose caller closed the axis: no proposal could ever
         // flip the bits back, so the chain would return a strategy the
         // caller ruled out.
-        let (g, topo, cost) = setup();
-        let warm = Strategy::data_parallel(&g, &topo).with_recompute_everywhere(true);
-        let r = SearchRequest::new(5).chains(1).run_warm(
-            &g,
-            &topo,
-            &cost,
-            warm.clone(),
-            Budget::evaluations(40),
-            SimConfig::default(),
-        );
+        let env = setup();
+        let warm = env.dp().with_recompute_everywhere(true);
+        let r = env.search_warm(SearchRequest::new(5).chains(1), warm.clone(), 40);
         assert!(
             !r.best.has_recompute(),
             "axis-off search must clamp a recompute seed to stored activations"
@@ -2034,20 +1607,15 @@ mod tests {
         // With the axis open the seed passes through: chasing the seed's
         // own cost as the target, the cutoff fires before a single
         // evaluation and hands back the recompute seed verbatim.
-        let seed_cost =
-            Simulator::new(&g, &topo, &cost, SimConfig::default(), warm.clone()).cost_us();
-        let r = SearchRequest::new(5)
-            .chains(1)
-            .recompute(true)
-            .target_cost_us(seed_cost)
-            .run_warm(
-                &g,
-                &topo,
-                &cost,
-                warm,
-                Budget::evaluations(10_000),
-                SimConfig::default(),
-            );
+        let seed_cost = env.cost_of(&warm);
+        let r = env.search_warm(
+            SearchRequest::new(5)
+                .chains(1)
+                .recompute(true)
+                .target_cost_us(seed_cost),
+            warm,
+            10_000,
+        );
         assert_eq!(r.evals, 0, "the in-budget seed already meets the target");
         assert!(r.best.has_recompute());
         assert_eq!(r.best_cost_us.to_bits(), seed_cost.to_bits());
@@ -2059,34 +1627,34 @@ mod tests {
         // recompute-everywhere peak: the seed starts OOM-infeasible, and
         // only strategies that recompute enough of their activations fit.
         // The search must walk out of the infeasible region.
-        let (g, topo, cost) = setup();
-        let dp = Strategy::data_parallel(&g, &topo);
+        let env = setup();
+        let dp = env.dp();
         let rc = dp.clone().with_recompute_everywhere(true);
-        let dp_peak = memory::footprint(&g, &topo, &dp).peak_with_state().1;
-        let rc_peak = memory::footprint(&g, &topo, &rc).peak_with_state().1;
+        let dp_peak = memory::footprint(&env.g, &env.topo, &dp)
+            .peak_with_state()
+            .1;
+        let rc_peak = memory::footprint(&env.g, &env.topo, &rc)
+            .peak_with_state()
+            .1;
         assert!(
             rc_peak < dp_peak,
             "recompute must shrink the peak: {rc_peak} vs {dp_peak}"
         );
         let cap = rc_peak + (dp_peak - rc_peak) / 2;
-        let budget = MemBudget::uniform_bytes(&topo, cap);
-        assert!(memory::check_budget(&g, &topo, &dp, &budget).is_err());
-        assert!(memory::check_budget(&g, &topo, &rc, &budget).is_ok());
+        let budget = MemBudget::uniform_bytes(&env.topo, cap);
+        assert!(memory::check_budget(&env.g, &env.topo, &dp, &budget).is_err());
+        assert!(memory::check_budget(&env.g, &env.topo, &rc, &budget).is_ok());
 
-        let r = SearchRequest::new(77)
-            .chains(2)
-            .recompute(true)
-            .mem_budget(Some(budget.clone()))
-            .run(
-                &g,
-                &topo,
-                &cost,
-                std::slice::from_ref(&dp),
-                Budget::evaluations(600),
-                SimConfig::default(),
-            );
+        let r = env.search(
+            SearchRequest::new(77)
+                .chains(2)
+                .recompute(true)
+                .mem_budget(Some(budget.clone())),
+            std::slice::from_ref(&dp),
+            600,
+        );
         assert!(
-            memory::check_budget(&g, &topo, &r.best, &budget).is_ok(),
+            memory::check_budget(&env.g, &env.topo, &r.best, &budget).is_ok(),
             "search must end on a budget-feasible strategy"
         );
         assert!(
@@ -2103,24 +1671,14 @@ mod tests {
     fn absent_mem_budget_is_bit_identical_to_the_unbudgeted_search() {
         // `mem_budget(None)` must not perturb costs, acceptance, or the
         // RNG stream — the explicit form of the pre-budget guarantee.
-        let (g, topo, cost) = setup();
-        let inits = [Strategy::data_parallel(&g, &topo)];
+        let env = setup();
+        let inits = [env.dp()];
         let budget = Budget::evaluations(150);
-        let plain = SearchRequest::new(19).chains(2).run(
-            &g,
-            &topo,
-            &cost,
+        let plain = env.search_within(SearchRequest::new(19).chains(2), &inits, budget);
+        let explicit = env.search_within(
+            SearchRequest::new(19).chains(2).mem_budget(None),
             &inits,
             budget,
-            SimConfig::default(),
-        );
-        let explicit = SearchRequest::new(19).chains(2).mem_budget(None).run(
-            &g,
-            &topo,
-            &cost,
-            &inits,
-            budget,
-            SimConfig::default(),
         );
         assert_eq!(
             plain.best_cost_us.to_bits(),
@@ -2128,36 +1686,6 @@ mod tests {
         );
         assert_eq!(plain.best, explicit.best);
         assert_eq!(plain.accepted, explicit.accepted);
-    }
-
-    #[test]
-    fn parallel_search_request_copies_every_knob() {
-        // ParallelSearch::request() is the migration path off the (now
-        // deleted) search/search_warm shims: it must carry every field
-        // over verbatim so a converted caller runs the identical search.
-        let mut ps = ParallelSearch::with_chains(31, 2);
-        ps.exchange_every = 16;
-        ps.target_cost_us = 123.5;
-        ps.beta_scale = 7.0;
-        ps.space = ConfigSpace::Canonical;
-        ps.algorithm = SimAlgorithm::Full;
-        ps.acceptance = AcceptanceRule::Annealed { anneal_factor: 4.0 };
-        ps.max_microbatches = 8;
-        ps.param_sync = true;
-        ps.recompute = true;
-        let req = ps.request();
-        assert_eq!(req.seed, ps.seed);
-        assert_eq!(req.chains, ps.chains);
-        assert_eq!(req.exchange_every, ps.exchange_every);
-        assert_eq!(req.target_cost_us, ps.target_cost_us);
-        assert_eq!(req.beta_scale, ps.beta_scale);
-        assert_eq!(req.space, ps.space);
-        assert_eq!(req.algorithm, ps.algorithm);
-        assert_eq!(req.acceptance, ps.acceptance);
-        assert_eq!(req.max_microbatches, ps.max_microbatches);
-        assert_eq!(req.param_sync, ps.param_sync);
-        assert_eq!(req.recompute, ps.recompute);
-        assert!(req.mem_budget.is_none());
     }
 
     #[test]

@@ -56,6 +56,7 @@
 //! one island does not grow with the task count of the other 63.
 
 use crate::metrics::DeltaTelemetry;
+use crate::strategy::{Proposal, Strategy};
 use crate::taskgraph::{ExecUnit, RebuildReport, TaskGraph, TaskId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -982,17 +983,40 @@ fn sweep_in_place(tg: &TaskGraph, state: &mut SimState, scratch: &mut DeltaScrat
     state.tl.makespan
 }
 
+/// Which simulation algorithm a [`Simulator`] evaluates proposals with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SimAlgorithm {
+    /// Build the proposed strategy's task graph from scratch and sweep it
+    /// (paper §5.2, Algorithm 1): the baseline of Table 4 / Fig. 12 and the
+    /// reference the delta path is tested against.
+    Full,
+    /// Rebuild only the tasks the proposal touches, then repair or sweep
+    /// the previous timeline (paper §5.3, Algorithm 2).
+    #[default]
+    Delta,
+}
+
 /// Convenience owner tying together a strategy, its task graph and its
 /// timeline; the execution optimizer drives the search through this.
 ///
-/// Proposal evaluation is **transactional**: [`Simulator::apply`] opens a
-/// transaction on both the task graph and the timeline, rebuilds one op
-/// and brings the schedule up to date by repair or sweep (see the module
-/// docs). [`Simulator::commit`] keeps the result; [`Simulator::rollback`]
-/// restores graph, timeline and strategy bit-for-bit by journal replay and,
-/// after a sweep, a buffer swap — no second simulation, no structure
-/// clone. Rejected proposals dominate an MCMC walk, so this is the hot
-/// path of the whole search.
+/// Proposal evaluation is **transactional**: [`Simulator::propose`] makes
+/// a [`Proposal`]'s edit, brings task graph and timeline up to date and
+/// returns the new cost; [`Simulator::commit`] keeps the result and
+/// [`Simulator::rollback`] restores graph, timeline and strategy
+/// bit-for-bit. How a proposal is evaluated is the simulator's
+/// [`SimAlgorithm`], fixed at construction — the caller's loop is the same
+/// under both, and both end in the same timeline:
+///
+/// - **Delta** ([`Simulator::new`]): journaled surgery on the task graph
+///   (one op, one layer's sync chain, or every op for a microbatch change)
+///   followed by a repair or sweep (see the module docs). Rollback replays
+///   the journals and, after a sweep, swaps the displaced timeline back —
+///   no second simulation, no structure clone. Rejected proposals dominate
+///   an MCMC walk, so this is the hot path of the whole search.
+/// - **Full** ([`Simulator::with_algorithm`]): the proposed strategy's
+///   task graph is built from scratch and swept into the double buffer;
+///   the displaced graph is set aside whole, dropped on commit and swapped
+///   back on rollback, so a rejected proposal costs one build, not two.
 ///
 /// # Threading contract
 ///
@@ -1011,33 +1035,22 @@ pub struct Simulator<'a> {
     topo: &'a flexflow_device::Topology,
     cost: &'a dyn flexflow_costmodel::CostModel,
     cfg: SimConfig,
-    strategy: crate::strategy::Strategy,
+    algorithm: SimAlgorithm,
+    strategy: Strategy,
     tg: TaskGraph,
     state: SimState,
     scratch: DeltaScratch,
-    /// Open speculative proposal and what undoing it must restore.
-    txn: Option<Pending>,
-    /// Number of delta simulations performed.
-    pub delta_sims: u64,
+    /// The open proposal: the edit that undoes it and, under
+    /// [`SimAlgorithm::Full`], the task graph it displaced (under
+    /// [`SimAlgorithm::Delta`] the graph restores itself from its journal,
+    /// as the timeline does under both).
+    txn: Option<(Proposal, Option<TaskGraph>)>,
     telemetry: DeltaTelemetry,
 }
 
-/// What a pending speculative [`Simulator::apply`]/
-/// [`Simulator::apply_microbatches`] must restore on rollback (the graph
-/// and timeline restore themselves from their journals).
-enum Pending {
-    /// A single-op configuration change: the op and its previous config.
-    Config(flexflow_opgraph::OpId, crate::soap::ParallelConfig),
-    /// A microbatch-count change: the previous count.
-    Microbatches(u64),
-    /// A parameter-sync mode change: the op and its previous mode.
-    ParamSync(flexflow_opgraph::OpId, crate::soap::ParamSync),
-    /// A recompute-bit flip: the op and its previous bit.
-    Recompute(flexflow_opgraph::OpId, bool),
-}
-
 impl<'a> Simulator<'a> {
-    /// Builds the task graph for `strategy` and runs a full simulation.
+    /// Builds the task graph for `strategy` and runs a full simulation;
+    /// proposals are then evaluated by delta simulation.
     ///
     /// Building is the expensive part (a full task-graph materialization
     /// plus a sweep), so a search chain constructs its simulator once and
@@ -1049,7 +1062,20 @@ impl<'a> Simulator<'a> {
         topo: &'a flexflow_device::Topology,
         cost: &'a dyn flexflow_costmodel::CostModel,
         cfg: SimConfig,
-        strategy: crate::strategy::Strategy,
+        strategy: Strategy,
+    ) -> Self {
+        Self::with_algorithm(graph, topo, cost, cfg, strategy, SimAlgorithm::Delta)
+    }
+
+    /// [`Simulator::new`] with an explicit proposal-evaluation algorithm.
+    #[must_use = "building a Simulator runs a full simulation; drive it instead of discarding it"]
+    pub fn with_algorithm(
+        graph: &'a flexflow_opgraph::OpGraph,
+        topo: &'a flexflow_device::Topology,
+        cost: &'a dyn flexflow_costmodel::CostModel,
+        cfg: SimConfig,
+        strategy: Strategy,
+        algorithm: SimAlgorithm,
     ) -> Self {
         let tg = TaskGraph::build(graph, topo, &strategy, cost, &cfg);
         let mut sim = Self {
@@ -1057,12 +1083,12 @@ impl<'a> Simulator<'a> {
             topo,
             cost,
             cfg,
+            algorithm,
             strategy,
             tg,
             state: SimState::default(),
             scratch: DeltaScratch::default(),
             txn: None,
-            delta_sims: 0,
             telemetry: DeltaTelemetry::default(),
         };
         sweep_in_place(&sim.tg, &mut sim.state, &mut sim.scratch);
@@ -1080,7 +1106,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// The current strategy.
-    pub fn strategy(&self) -> &crate::strategy::Strategy {
+    pub fn strategy(&self) -> &Strategy {
         &self.strategy
     }
 
@@ -1104,29 +1130,8 @@ impl<'a> Simulator<'a> {
         self.telemetry
     }
 
-    /// Opens the transaction of a proposal whose strategy change is made.
-    fn begin(&mut self, pending: Pending) {
-        self.tg.begin_txn();
-        self.state.begin_txn();
-        self.txn = Some(pending);
-    }
-
-    /// Rebuilds `op` under the open transaction and brings the timeline up
-    /// to date.
-    fn rebuild_op(&mut self, op: flexflow_opgraph::OpId) -> f64 {
-        let report = self.tg.rebuild_op(
-            self.graph,
-            self.topo,
-            &self.strategy,
-            self.cost,
-            &self.cfg,
-            op,
-        );
-        self.delta(&report)
-    }
-
+    /// Brings the timeline up to date with a journaled rebuild's report.
     fn delta(&mut self, report: &RebuildReport) -> f64 {
-        self.delta_sims += 1;
         let fallbacks_before = self.state.fallbacks;
         let cost = simulate_delta_with(&self.tg, &mut self.state, report, &mut self.scratch);
         self.telemetry.repair_steps += self.scratch.last_repair_steps;
@@ -1135,142 +1140,120 @@ impl<'a> Simulator<'a> {
         cost
     }
 
-    /// Counts the proposal just evaluated and its journal depth.
-    fn count_apply(&mut self) {
+    /// Sweeps the current task graph into the double buffer.
+    fn sweep(&mut self) -> f64 {
+        self.telemetry.sweeps += 1;
+        sweep_in_place(&self.tg, &mut self.state, &mut self.scratch)
+    }
+
+    /// Speculatively makes the edit `p` describes and returns the new
+    /// cost. The change stays pending until [`Simulator::commit`] keeps it
+    /// or [`Simulator::rollback`] undoes it; proposing again first commits
+    /// the pending change (so sequential non-speculative use — propose,
+    /// propose, … — needs no commits).
+    ///
+    /// Under [`SimAlgorithm::Delta`] a configuration change or recompute
+    /// flip rebuilds the op's compute, recompute, tensor-edge and
+    /// layer-sync tasks ([`TaskGraph::rebuild_op`]); a parameter-sync
+    /// change rebuilds only its layer's sync chain
+    /// ([`TaskGraph::rebuild_layer_sync`]; ops without a layer are
+    /// structural no-ops, and the change is effective when `op` is its
+    /// layer's mode source, see [`crate::soap::sync_ops`]); a microbatch
+    /// change touches every op, so the whole graph is rebuilt under the
+    /// journal and the timeline swept.
+    pub fn propose(&mut self, p: Proposal) -> f64 {
+        self.commit();
+        let undo = self.strategy.apply(p);
+        self.state.begin_txn();
+        let (graph, topo, cost, cfg) = (self.graph, self.topo, self.cost, self.cfg);
+        let (new_cost, displaced) = match self.algorithm {
+            SimAlgorithm::Full => {
+                let built = TaskGraph::build(graph, topo, &self.strategy, cost, &cfg);
+                let displaced = std::mem::replace(&mut self.tg, built);
+                (self.sweep(), Some(displaced))
+            }
+            SimAlgorithm::Delta => {
+                self.tg.begin_txn();
+                let s = &self.strategy;
+                let new_cost = match undo {
+                    Proposal::Config(op, _) | Proposal::Recompute(op, _) => {
+                        let report = self.tg.rebuild_op(graph, topo, s, cost, &cfg, op);
+                        self.delta(&report)
+                    }
+                    Proposal::Microbatches(_) => {
+                        self.tg.rebuild_all(graph, topo, s, cost, &cfg);
+                        self.sweep()
+                    }
+                    Proposal::ParamSync(op, _) => match graph.op(op).layer() {
+                        Some(layer) => {
+                            let report = self
+                                .tg
+                                .rebuild_layer_sync(graph, topo, s, cost, &cfg, layer);
+                            self.delta(&report)
+                        }
+                        None => self.state.makespan_us(),
+                    },
+                };
+                (new_cost, None)
+            }
+        };
+        self.txn = Some((undo, displaced));
         self.telemetry.applies += 1;
         let depth = self.tg.journal_depth() + self.state.journal_depth();
         self.telemetry.journal_slots += depth as u64;
         self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
+        new_cost
     }
 
-    /// Speculatively applies a configuration change to one op and returns
-    /// the new cost. The change stays pending until [`Simulator::commit`]
-    /// keeps it or [`Simulator::rollback`] undoes it; calling `apply` again
-    /// first commits the pending change (so sequential non-speculative use
-    /// — apply, apply, … — behaves exactly as before the transactional
-    /// API).
+    /// [`Simulator::propose`] of a [`Proposal::Config`].
     pub fn apply(
         &mut self,
         op: flexflow_opgraph::OpId,
         config: crate::soap::ParallelConfig,
     ) -> f64 {
-        self.commit();
-        let old = self.strategy.replace(op, config);
-        self.begin(Pending::Config(op, old));
-        let cost = self.rebuild_op(op);
-        self.count_apply();
-        cost
+        self.propose(Proposal::Config(op, config))
     }
 
-    /// Speculatively changes the strategy's microbatch count with a
-    /// journaled structural rebuild and returns the new cost. A
-    /// microbatch change touches every operation, so the whole graph is
-    /// rebuilt under the open transaction (journaled graph surgery,
-    /// slot-recycled like any other rebuild) and the timeline is swept —
-    /// the route wide single-op proposals take too. Like
-    /// [`Simulator::apply`], the change stays pending until
-    /// [`Simulator::commit`] or [`Simulator::rollback`], and rollback
-    /// restores strategy, task graph and timeline bit-for-bit.
+    /// [`Simulator::propose`] of a [`Proposal::Microbatches`].
     pub fn apply_microbatches(&mut self, m: u64) -> f64 {
-        self.commit();
-        let old = self.strategy.set_microbatches(m);
-        self.begin(Pending::Microbatches(old));
-        self.tg
-            .rebuild_all(self.graph, self.topo, &self.strategy, self.cost, &self.cfg);
-        self.delta_sims += 1;
-        let cost = sweep_in_place(&self.tg, &mut self.state, &mut self.scratch);
-        self.telemetry.sweeps += 1;
-        self.count_apply();
-        cost
+        self.propose(Proposal::Microbatches(m))
     }
 
-    /// Speculatively changes one op's parameter-sync mode
-    /// ([`crate::soap::ParamSync`]) with a journaled structural rebuild of
-    /// its layer's synchronization tasks and returns the new cost. Unlike
-    /// a microbatch change, a sync-mode change is *local*: only the
-    /// layer's sync chain is doomed and recreated
-    /// ([`TaskGraph::rebuild_layer_sync`]), so the timeline usually takes
-    /// the island-keyed repair rather than a sweep. Like
-    /// [`Simulator::apply`], the change stays pending until
-    /// [`Simulator::commit`] or [`Simulator::rollback`], and rollback
-    /// restores strategy, task graph and timeline bit-for-bit.
-    ///
-    /// The proposal is effective when `op` is the mode source of its layer
-    /// (the lowest-id member, see [`crate::soap::sync_ops`]); ops without
-    /// a layer are accepted and are structural no-ops.
+    /// [`Simulator::propose`] of a [`Proposal::ParamSync`].
     pub fn apply_param_sync(
         &mut self,
         op: flexflow_opgraph::OpId,
         mode: crate::soap::ParamSync,
     ) -> f64 {
-        self.commit();
-        let old = self.strategy.set_param_sync(op, mode);
-        self.begin(Pending::ParamSync(op, old));
-        let cost = if let Some(layer) = self.graph.op(op).layer() {
-            let report = self.tg.rebuild_layer_sync(
-                self.graph,
-                self.topo,
-                &self.strategy,
-                self.cost,
-                &self.cfg,
-                layer,
-            );
-            self.delta(&report)
-        } else {
-            self.state.makespan_us()
-        };
-        self.count_apply();
-        cost
+        self.propose(Proposal::ParamSync(op, mode))
     }
 
-    /// Speculatively flips one op's recompute bit
-    /// ([`crate::strategy::Strategy::recompute`]) with a journaled
-    /// structural rebuild of the op and returns the new cost. The rebuild
-    /// reuses the [`TaskGraph::rebuild_op`] surgery — the op's compute,
-    /// recompute, tensor-edge and layer-sync tasks are doomed and
-    /// recreated for the new bit. Like [`Simulator::apply`], the change
-    /// stays pending until [`Simulator::commit`] or
-    /// [`Simulator::rollback`], and rollback restores strategy, task graph
-    /// and timeline bit-for-bit.
+    /// [`Simulator::propose`] of a [`Proposal::Recompute`].
     pub fn apply_recompute(&mut self, op: flexflow_opgraph::OpId, on: bool) -> f64 {
-        self.commit();
-        let old = self.strategy.set_recompute(op, on);
-        self.begin(Pending::Recompute(op, old));
-        let cost = self.rebuild_op(op);
-        self.count_apply();
-        cost
+        self.propose(Proposal::Recompute(op, on))
     }
 
-    /// Keeps the pending [`Simulator::apply`]. No-op when nothing is
-    /// pending.
+    /// Keeps the pending proposal. No-op when nothing is pending.
     pub fn commit(&mut self) {
-        if self.txn.take().is_some() {
-            self.tg.commit_txn();
+        if let Some((_, displaced)) = self.txn.take() {
+            if displaced.is_none() {
+                self.tg.commit_txn();
+            }
             self.state.commit_txn(&mut self.scratch);
             self.telemetry.commits += 1;
         }
     }
 
-    /// Undoes the pending [`Simulator::apply`]; strategy, task graph and
-    /// timeline return to their exact pre-`apply` state. Returns the
+    /// Undoes the pending proposal; strategy, task graph and timeline
+    /// return to their exact pre-[`Simulator::propose`] state. Returns the
     /// (restored) cost. No-op when nothing is pending.
     pub fn rollback(&mut self) -> f64 {
-        if let Some(pending) = self.txn.take() {
-            match pending {
-                Pending::Config(op, old) => {
-                    self.strategy.replace(op, old);
-                }
-                Pending::Microbatches(old) => {
-                    self.strategy.set_microbatches(old);
-                }
-                Pending::ParamSync(op, old) => {
-                    self.strategy.set_param_sync(op, old);
-                }
-                Pending::Recompute(op, old) => {
-                    self.strategy.set_recompute(op, old);
-                }
+        if let Some((undo, displaced)) = self.txn.take() {
+            self.strategy.apply(undo);
+            match displaced {
+                Some(tg) => self.tg = tg,
+                None => self.tg.rollback_txn(),
             }
-            self.tg.rollback_txn();
             self.state.rollback_txn(&mut self.scratch);
             self.telemetry.rollbacks += 1;
         }
@@ -1280,7 +1263,7 @@ impl<'a> Simulator<'a> {
     /// Replaces the entire strategy, rebuilding and fully re-simulating
     /// (into the double buffer's spare). Commits any pending proposal
     /// first.
-    pub fn reset(&mut self, strategy: crate::strategy::Strategy) -> f64 {
+    pub fn reset(&mut self, strategy: Strategy) -> f64 {
         self.commit();
         self.strategy = strategy;
         self.tg = TaskGraph::build(self.graph, self.topo, &self.strategy, self.cost, &self.cfg);
@@ -1291,8 +1274,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soap::ParallelConfig;
-    use crate::strategy::Strategy;
+    use crate::soap::{ParallelConfig, ParamSync};
     use flexflow_costmodel::{CostModel, MeasuredCostModel};
     use flexflow_device::{clusters, DeviceKind, Topology};
     use flexflow_opgraph::{zoo, OpGraph, OpKind, OpNode};
@@ -1596,6 +1578,69 @@ mod tests {
             &SimConfig::default(),
         ));
         assert!((c1 - fresh.makespan_us()).abs() < 1e-6);
+    }
+
+    /// Counts the cost-model queries a task-graph build makes.
+    #[derive(Default)]
+    struct CountingCost(std::sync::atomic::AtomicU64);
+
+    impl CountingCost {
+        fn take(&self) -> u64 {
+            self.0.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl CostModel for CountingCost {
+        fn task_time_us(&self, node: &OpNode, out: &Rect, device: DeviceKind) -> f64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            FixedCost.task_time_us(node, out, device)
+        }
+    }
+
+    #[test]
+    fn full_rollback_swaps_the_displaced_graph_back_without_a_second_build() {
+        let g = zoo::rnnlm(8, 2);
+        let topo = clusters::uniform_cluster(1, 4, 16.0, 4.0);
+        let cost = CountingCost::default();
+        let cfg = SimConfig::default();
+        let s = Strategy::data_parallel(&g, &topo);
+        let op = crate::soap::sync_ops(&g)[0];
+        let proposals = [
+            Proposal::Config(op, ParallelConfig::on_device(g.op(op), topo.device_id(1))),
+            Proposal::Microbatches(2),
+            Proposal::ParamSync(op, ParamSync::ShardedZero1 { shards: 2 }),
+            Proposal::Recompute(op, true),
+        ];
+        let mut sim =
+            Simulator::with_algorithm(&g, &topo, &cost, cfg, s.clone(), SimAlgorithm::Full);
+        for p in proposals {
+            let mut proposed = s.clone();
+            proposed.apply(p.clone());
+            cost.take();
+            let _ = TaskGraph::build(&g, &topo, &proposed, &cost, &cfg);
+            let one_build = cost.take();
+            assert!(one_build > 0);
+
+            let c0 = sim.cost_us();
+            sim.propose(p.clone());
+            assert_eq!(sim.strategy(), &proposed);
+            assert_eq!(sim.rollback().to_bits(), c0.to_bits());
+            assert_eq!(
+                cost.take(),
+                one_build,
+                "{p:?}: a rejected proposal is one build"
+            );
+
+            let fresh = Simulator::new(&g, &topo, &cost, cfg, s.clone());
+            assert_eq!(sim.strategy(), &s);
+            assert!(sim.state() == fresh.state(), "{p:?}: timeline not restored");
+            assert!(
+                sim.task_graph() == fresh.task_graph(),
+                "{p:?}: graph not restored"
+            );
+        }
+        let t = sim.telemetry();
+        assert_eq!((t.applies, t.commits, t.rollbacks, t.sweeps), (4, 0, 4, 4));
     }
 
     #[test]

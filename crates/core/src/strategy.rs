@@ -36,6 +36,21 @@ pub struct Strategy {
     recompute: Vec<bool>,
 }
 
+/// One edit of a [`Strategy`]: the unit the search proposes (paper §6.2)
+/// and the simulator evaluates. [`Strategy::apply`] returns the edit that
+/// undoes it, so a pending transaction is just the inverse proposal.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Proposal {
+    /// Replace one op's configuration.
+    Config(OpId, ParallelConfig),
+    /// Change the strategy-wide microbatch count.
+    Microbatches(u64),
+    /// Change one op's (i.e. its layer's) parameter-sync mode.
+    ParamSync(OpId, ParamSync),
+    /// Set one op's recompute bit.
+    Recompute(OpId, bool),
+}
+
 impl Strategy {
     /// Builds a strategy from per-op configurations in op-id order.
     ///
@@ -185,6 +200,22 @@ impl Strategy {
         std::mem::replace(&mut self.configs[id.index()], config)
     }
 
+    /// Makes the edit `p` describes and returns its inverse: applying the
+    /// returned proposal restores the strategy exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the proposal names an op out of range or zero
+    /// microbatches.
+    pub fn apply(&mut self, p: Proposal) -> Proposal {
+        match p {
+            Proposal::Config(op, config) => Proposal::Config(op, self.replace(op, config)),
+            Proposal::Microbatches(m) => Proposal::Microbatches(self.set_microbatches(m)),
+            Proposal::ParamSync(op, mode) => Proposal::ParamSync(op, self.set_param_sync(op, mode)),
+            Proposal::Recompute(op, on) => Proposal::Recompute(op, self.set_recompute(op, on)),
+        }
+    }
+
     /// Classic data parallelism: every op splits its sample dimension over
     /// all devices (paper §2).
     pub fn data_parallel(graph: &OpGraph, topo: &Topology) -> Self {
@@ -302,8 +333,40 @@ mod tests {
     use super::*;
     use flexflow_device::clusters;
     use flexflow_opgraph::zoo;
+    use proptest::{prop_assert_eq, proptest};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    proptest! {
+        #[test]
+        fn apply_of_the_returned_proposal_is_the_identity(seed in 0u64..1000) {
+            let g = zoo::rnnlm(8, 2);
+            let topo = clusters::uniform_cluster(1, 4, 16.0, 4.0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut s = Strategy::random(&g, &topo, ConfigSpace::Full, &mut rng);
+            let ops = Strategy::searchable_ops(&g);
+            for kind in 0..4 {
+                let op = ops[rng.gen_range(0..ops.len())];
+                let p = match kind {
+                    0 => Proposal::Config(
+                        op,
+                        soap::random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng),
+                    ),
+                    1 => Proposal::Microbatches(rng.gen_range(1..9)),
+                    2 => Proposal::ParamSync(
+                        op,
+                        ParamSync::ShardedZero1 { shards: rng.gen_range(2..5) },
+                    ),
+                    _ => Proposal::Recompute(op, rng.gen()),
+                };
+                let before = s.clone();
+                let undo = s.apply(p.clone());
+                let redo = s.apply(undo);
+                prop_assert_eq!(&s, &before, "kind {}", kind);
+                prop_assert_eq!(redo, p, "the inverse of the inverse is the proposal");
+            }
+        }
+    }
 
     #[test]
     fn data_parallel_covers_every_op() {

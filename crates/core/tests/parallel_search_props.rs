@@ -8,7 +8,7 @@
 //!    minimum under concurrent updates from many threads — the final
 //!    value equals the sequential minimum, and `observe` reports an
 //!    improvement exactly for strict global minima.
-//! 3. **Cross-thread aggregation**: [`ParallelSearch`] results add up —
+//! 3. **Cross-thread aggregation**: [`SearchRequest`] results add up —
 //!    total evals equal the per-chain sum, delta telemetry balances
 //!    (applies = commits + rollbacks = evals), and the whole result is
 //!    reproducible for a fixed `(seed, chains)` at any scheduling.

@@ -10,7 +10,7 @@
 
 use flexflow::core::sim::{simulate_full, SimConfig};
 use flexflow::core::taskgraph::TaskGraph;
-use flexflow::core::{Budget, McmcOptimizer, Strategy};
+use flexflow::core::{Budget, SearchRequest, Strategy};
 use flexflow::costmodel::MeasuredCostModel;
 use flexflow::device::clusters;
 use flexflow::opgraph::zoo;
@@ -28,8 +28,7 @@ fn main() {
     };
 
     // Search natively on each cluster.
-    let mut opt = McmcOptimizer::new(21);
-    let on_p100 = opt.search(
+    let on_p100 = SearchRequest::new(21).chains(1).run(
         &graph,
         &p100,
         &cost,
@@ -37,8 +36,7 @@ fn main() {
         Budget::evaluations(evals),
         cfg,
     );
-    let mut opt = McmcOptimizer::new(22);
-    let on_k80 = opt.search(
+    let on_k80 = SearchRequest::new(22).chains(1).run(
         &graph,
         &k80,
         &cost,

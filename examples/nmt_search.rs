@@ -11,7 +11,7 @@ use flexflow::baselines::expert;
 use flexflow::core::metrics::SimMetrics;
 use flexflow::core::sim::{simulate_full, SimConfig};
 use flexflow::core::taskgraph::TaskGraph;
-use flexflow::core::{Budget, ParallelSearch, SearchRequest, Strategy};
+use flexflow::core::{Budget, SearchRequest, Strategy};
 use flexflow::costmodel::MeasuredCostModel;
 use flexflow::device::clusters;
 use flexflow::opgraph::zoo;
@@ -53,13 +53,13 @@ fn main() {
 
     // The parallel driver: one MCMC chain per hardware thread, seeded
     // deterministically, exchanging bests every 256 evaluations.
-    let opt = ParallelSearch::new(7);
+    let request = SearchRequest::new(7);
     println!(
         "searching with {} parallel chain(s), exchange every {} evals...",
-        opt.chains, opt.exchange_every
+        request.chains, request.exchange_every
     );
     let initials: Vec<Strategy> = contenders.into_iter().map(|(_, s)| s).collect();
-    let result = SearchRequest::new(7).chains(opt.chains).run(
+    let result = request.run(
         &graph,
         &topo,
         &cost,

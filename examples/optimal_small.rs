@@ -8,7 +8,7 @@
 
 use flexflow::core::exhaustive::{canonical_space_size, check_local_optimality, ExhaustiveSearch};
 use flexflow::core::soap::ConfigSpace;
-use flexflow::core::{Budget, McmcOptimizer, SimConfig, Strategy};
+use flexflow::core::{Budget, SearchRequest, SimConfig, Strategy};
 use flexflow::costmodel::MeasuredCostModel;
 use flexflow::device::clusters;
 use flexflow::opgraph::zoo;
@@ -25,16 +25,17 @@ fn main() {
     );
 
     // MCMC restricted to the enumerable (canonical) space.
-    let mut opt = McmcOptimizer::new(84);
-    opt.space = ConfigSpace::Canonical;
-    let mcmc = opt.search(
-        &graph,
-        &topo,
-        &cost,
-        &[Strategy::data_parallel(&graph, &topo)],
-        Budget::evaluations(4000),
-        cfg,
-    );
+    let mcmc = SearchRequest::new(84)
+        .chains(1)
+        .space(ConfigSpace::Canonical)
+        .run(
+            &graph,
+            &topo,
+            &cost,
+            &[Strategy::data_parallel(&graph, &topo)],
+            Budget::evaluations(4000),
+            cfg,
+        );
     println!(
         "MCMC best: {:.2} ms after {} proposals",
         mcmc.best_cost_us / 1e3,

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use flexflow::core::{Budget, McmcOptimizer, SimConfig, Strategy};
+use flexflow::core::{Budget, SearchRequest, SimConfig, Strategy};
 use flexflow::costmodel::MeasuredCostModel;
 use flexflow::device::clusters;
 use flexflow::opgraph::{OpGraph, OpKind};
@@ -37,8 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("data parallelism: {dp_cost:.1} us per iteration");
 
     // 5. Search the SOAP space.
-    let mut optimizer = McmcOptimizer::new(42);
-    let result = optimizer.search(
+    let result = SearchRequest::new(42).chains(1).run(
         &graph,
         &topo,
         &cost,

@@ -8,7 +8,7 @@
 //! cargo run --release --example runtime_execution
 //! ```
 
-use flexflow::core::{Budget, McmcOptimizer, SimConfig, Strategy};
+use flexflow::core::{Budget, SearchRequest, SimConfig, Strategy};
 use flexflow::costmodel::MeasuredCostModel;
 use flexflow::device::clusters;
 use flexflow::opgraph::zoo;
@@ -20,8 +20,7 @@ fn main() {
     let cost = MeasuredCostModel::paper_default();
 
     // Find a non-trivial strategy.
-    let mut opt = McmcOptimizer::new(3);
-    let result = opt.search(
+    let result = SearchRequest::new(3).chains(1).run(
         &graph,
         &topo,
         &cost,

@@ -5,7 +5,7 @@
 //! flexflow search <model> [--gpus N] [--cluster p100|k80|PRESET] [--evals N] [--seed N]
 //!                         [--out FILE] [--chains K] [--exchange-every N] [--microbatches M]
 //!                         [--param-sync MODE] [--recompute search|off] [--mem-budget MB|device]
-//!                         [--warm FILE] [--legacy] [--verbose]
+//!                         [--warm FILE] [--verbose]
 //! flexflow simulate <model> [--gpus N] [--cluster p100|k80|PRESET] [--strategy FILE]
 //!                           [--microbatches M] [--param-sync MODE] [--recompute off]
 //!                           [--mem-budget MB|device]
@@ -15,12 +15,10 @@
 //!                [--max-conns N] [--no-polish]
 //! ```
 //!
-//! `search` runs the parallel multi-chain driver by default (one chain
-//! per available hardware thread; fix `--chains` and `--seed` for a
-//! reproducible result). `--legacy` forces the sequential single-chain
-//! reference driver, which `--chains 1` reproduces bit-for-bit — CI
-//! diffs the two; combining `--legacy` with the multi-chain knobs
-//! (`--chains > 1`, `--exchange-every`) is rejected as contradictory.
+//! `search` runs one chain per available hardware thread by default; fix
+//! `--chains` and `--seed` for a reproducible result (`--chains 1` is the
+//! paper's sequential search, whatever `--exchange-every` says). A flag a
+//! subcommand does not define is rejected, not ignored.
 //! `--microbatches M` enables pipeline parallelism: the search may split
 //! the batch into up to `M` microbatches and pipeline operator stages
 //! across devices. `--warm FILE` seeds every chain from a previously
@@ -72,15 +70,11 @@ use flexflow::core::memory;
 use flexflow::core::metrics::SimMetrics;
 use flexflow::core::sim::{simulate_full, SimConfig};
 use flexflow::core::taskgraph::TaskGraph;
-use flexflow::core::{
-    default_chains, strategy_io, Budget, McmcOptimizer, ParamSync, SearchRequest, SearchResult,
-    Strategy,
-};
+use flexflow::core::{default_chains, strategy_io, Budget, ParamSync, SearchRequest, Strategy};
 use flexflow::costmodel::MeasuredCostModel;
 use flexflow::device::{clusters, DeviceKind, Topology};
 use flexflow::opgraph::{zoo, OpGraph};
 use flexflow::server::{CacheBounds, ServerHandle};
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -89,7 +83,7 @@ fn usage() -> ExitCode {
          [--cluster p100|k80|PRESET] [--evals N] [--seed N] [--out FILE]\n                \
          [--chains K] [--exchange-every N] [--microbatches M] [--warm FILE]\n            \
          [--param-sync search|allreduce|zero1:K|ps:D] [--recompute search|off]\n         \
-         [--mem-budget MB|device] [--legacy] [--verbose]\n  flexflow \
+         [--mem-budget MB|device] [--verbose]\n  flexflow \
          simulate <model> [--gpus N] [--cluster p100|k80|PRESET] [--strategy FILE]\n     \
          [--microbatches M] [--param-sync allreduce|zero1:K|ps:D] [--recompute off]\n    \
          [--mem-budget MB|device]\n  flexflow \
@@ -132,7 +126,6 @@ struct Options {
     verbose: bool,
     chains: usize,
     exchange_every: u64,
-    legacy: bool,
     /// `--microbatches M`: `None` when the flag was absent (so `simulate`
     /// can tell "default off" from an explicit 1), capped max for search.
     microbatches: Option<u64>,
@@ -201,153 +194,132 @@ fn parse(args: &[String]) -> Option<Options> {
         verbose: false,
         chains: default_chains(),
         exchange_every: 256,
-        legacy: false,
         microbatches: None,
         param_sync: None,
         warm: None,
         recompute: None,
         mem_budget: None,
     };
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let mut i = 1;
-    while i + 1 < args.len() + 1 {
-        if i >= args.len() {
-            break;
-        }
-        let key = args[i].clone();
+    let mut gpus_given = false;
+    let mut rest = args[1..].iter();
+    while let Some(key) = rest.next() {
         if key == "--verbose" {
             o.verbose = true;
-            i += 1;
             continue;
         }
-        if key == "--legacy" {
-            o.legacy = true;
-            i += 1;
-            continue;
-        }
-        if !key.starts_with("--") || i + 1 >= args.len() {
+        if !key.starts_with("--") {
             eprintln!("unexpected argument {key:?}");
             return None;
         }
-        flags.insert(key, args[i + 1].clone());
-        i += 2;
-    }
-    if let Some(v) = flags.get("--gpus") {
-        o.gpus = v.parse().ok()?;
-    }
-    if let Some(v) = flags.get("--cluster") {
-        o.cluster = match v.as_str() {
-            "p100" => ClusterSpec::Flat(DeviceKind::P100),
-            "k80" => ClusterSpec::Flat(DeviceKind::K80),
-            // Anything else must be a hierarchical preset; validate it now
-            // so a typo fails at the flag, not deep inside a subcommand.
-            other => match clusters::preset(other) {
-                Ok(topo) => {
-                    if flags.contains_key("--gpus") {
-                        eprintln!(
-                            "--cluster {other} fixes the device count at {}; \
-                             --gpus is contradictory next to a preset",
-                            topo.num_devices()
-                        );
+        // Every other flag takes a value. The arms below are the flags the
+        // CLI defines; anything else is a typo the run must not survive.
+        let mut value = || {
+            let v = rest.next();
+            if v.is_none() {
+                eprintln!("{key} needs a value");
+            }
+            v
+        };
+        match key.as_str() {
+            "--gpus" => {
+                o.gpus = value()?.parse().ok()?;
+                gpus_given = true;
+            }
+            "--cluster" => {
+                o.cluster = match value()?.as_str() {
+                    "p100" => ClusterSpec::Flat(DeviceKind::P100),
+                    "k80" => ClusterSpec::Flat(DeviceKind::K80),
+                    other => ClusterSpec::Preset(other.to_string()),
+                }
+            }
+            "--evals" => o.evals = value()?.parse().ok()?,
+            "--seed" => o.seed = value()?.parse().ok()?,
+            "--chains" => {
+                o.chains = value()?.parse().ok()?;
+                if o.chains == 0 {
+                    eprintln!("--chains must be at least 1");
+                    return None;
+                }
+            }
+            "--exchange-every" => o.exchange_every = value()?.parse().ok()?,
+            "--microbatches" => {
+                let m: u64 = value()?.parse().ok()?;
+                if m == 0 {
+                    eprintln!("--microbatches must be at least 1");
+                    return None;
+                }
+                o.microbatches = Some(m);
+            }
+            "--param-sync" => {
+                let v = value()?;
+                o.param_sync = Some(if v == "search" {
+                    ParamSyncFlag::Search
+                } else {
+                    match ParamSync::parse(v) {
+                        Ok(mode) => ParamSyncFlag::Fixed(mode),
+                        Err(e) => {
+                            eprintln!("--param-sync: {e}");
+                            return None;
+                        }
+                    }
+                });
+            }
+            "--recompute" => {
+                o.recompute = Some(match value()?.as_str() {
+                    "search" => RecomputeFlag::Search,
+                    "off" => RecomputeFlag::Off,
+                    other => {
+                        eprintln!("--recompute must be \"search\" or \"off\", got {other:?}");
                         return None;
                     }
-                    o.gpus = topo.num_devices();
-                    ClusterSpec::Preset(other.to_string())
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    return None;
-                }
-            },
-        };
-    }
-    if let Some(v) = flags.get("--evals") {
-        o.evals = v.parse().ok()?;
-    }
-    if let Some(v) = flags.get("--seed") {
-        o.seed = v.parse().ok()?;
-    }
-    if let Some(v) = flags.get("--chains") {
-        o.chains = v.parse().ok()?;
-        if o.chains == 0 {
-            eprintln!("--chains must be at least 1");
-            return None;
-        }
-    }
-    if let Some(v) = flags.get("--exchange-every") {
-        o.exchange_every = v.parse().ok()?;
-    }
-    if let Some(v) = flags.get("--microbatches") {
-        let m: u64 = v.parse().ok()?;
-        if m == 0 {
-            eprintln!("--microbatches must be at least 1");
-            return None;
-        }
-        o.microbatches = Some(m);
-    }
-    if let Some(v) = flags.get("--param-sync") {
-        o.param_sync = Some(if v == "search" {
-            ParamSyncFlag::Search
-        } else {
-            match ParamSync::parse(v) {
-                Ok(mode) => ParamSyncFlag::Fixed(mode),
-                Err(e) => {
-                    eprintln!("--param-sync: {e}");
-                    return None;
-                }
+                });
             }
-        });
-    }
-    if let Some(v) = flags.get("--recompute") {
-        o.recompute = Some(match v.as_str() {
-            "search" => RecomputeFlag::Search,
-            "off" => RecomputeFlag::Off,
-            other => {
-                eprintln!("--recompute must be \"search\" or \"off\", got {other:?}");
+            "--mem-budget" => {
+                let v = value()?;
+                o.mem_budget = Some(if v == "device" {
+                    MemBudgetFlag::DeviceDefaults
+                } else {
+                    match v.parse::<u64>() {
+                        Ok(mb) if mb >= 1 => MemBudgetFlag::UniformMb(mb),
+                        _ => {
+                            eprintln!(
+                                "--mem-budget takes a size in MB (at least 1) or the word \
+                                 \"device\", got {v:?}"
+                            );
+                            return None;
+                        }
+                    }
+                });
+            }
+            "--out" => o.out = Some(value()?.clone()),
+            "--strategy" => o.strategy = Some(value()?.clone()),
+            "--warm" => o.warm = Some(value()?.clone()),
+            _ => {
+                eprintln!("unknown flag {key:?}");
                 return None;
             }
-        });
+        }
     }
-    if let Some(v) = flags.get("--mem-budget") {
-        o.mem_budget = Some(if v == "device" {
-            MemBudgetFlag::DeviceDefaults
-        } else {
-            match v.parse::<u64>() {
-                Ok(mb) if mb >= 1 => MemBudgetFlag::UniformMb(mb),
-                _ => {
-                    eprintln!(
-                        "--mem-budget takes a size in MB (at least 1) or the word \
-                         \"device\", got {v:?}"
-                    );
-                    return None;
-                }
+    // Anything but a flat kind must be a hierarchical preset, which fixes
+    // its own size; validate it now so a typo fails at the flag, not deep
+    // inside a subcommand.
+    if let ClusterSpec::Preset(name) = &o.cluster {
+        let devices = match clusters::preset(name) {
+            Ok(topo) => topo.num_devices(),
+            Err(e) => {
+                eprintln!("{e}");
+                return None;
             }
-        });
-    }
-    // Contradictory combinations are rejected instead of silently
-    // picking a winner: the legacy sequential driver has exactly one
-    // chain and no exchange protocol, so multi-chain knobs next to
-    // --legacy mean the caller is confused about which driver runs.
-    if o.legacy {
-        if flags.contains_key("--chains") && o.chains > 1 {
+        };
+        if gpus_given {
             eprintln!(
-                "--legacy runs the sequential single-chain driver; \
-                 it cannot honour --chains {} (drop one of the flags)",
-                o.chains
+                "--cluster {name} fixes the device count at {devices}; \
+                 --gpus is contradictory next to a preset"
             );
             return None;
         }
-        if flags.contains_key("--exchange-every") {
-            eprintln!(
-                "--legacy runs the sequential driver, which has no \
-                 best-strategy exchange; --exchange-every is contradictory"
-            );
-            return None;
-        }
+        o.gpus = devices;
     }
-    o.out = flags.get("--out").cloned();
-    o.strategy = flags.get("--strategy").cloned();
-    o.warm = flags.get("--warm").cloned();
     Some(o)
 }
 
@@ -575,17 +547,13 @@ fn main() -> ExitCode {
             let recompute_axis = o.recompute == Some(RecomputeFlag::Search);
             let mem_budget = o.mem_budget.map(|f| f.build(&topo));
             println!(
-                "searching {} on {} x {} ({} ops, {} evals, {}{}{}{}{})...",
+                "searching {} on {} x {} ({} ops, {} evals, {} chains{}{}{}{})...",
                 o.model,
                 o.gpus,
                 o.cluster.label(),
                 graph.len(),
                 o.evals,
-                if o.legacy {
-                    "legacy sequential driver".to_string()
-                } else {
-                    format!("{} chains", o.chains)
-                },
+                o.chains,
                 if max_microbatches > 1 {
                     format!(", up to {max_microbatches} microbatches")
                 } else {
@@ -633,37 +601,21 @@ fn main() -> ExitCode {
             }
             let param_sync_axis = o.param_sync.is_some();
             let budget = Budget::evaluations(o.evals);
-            let r: SearchResult = if o.legacy {
-                let mut opt = McmcOptimizer::new(o.seed);
-                opt.max_microbatches = max_microbatches;
-                opt.param_sync = param_sync_axis;
-                opt.recompute = recompute_axis;
-                opt.mem_budget = mem_budget.clone();
-                opt.search(
+            let r = SearchRequest::new(o.seed)
+                .chains(o.chains)
+                .exchange_every(o.exchange_every)
+                .max_microbatches(max_microbatches)
+                .param_sync(param_sync_axis)
+                .recompute(recompute_axis)
+                .mem_budget(mem_budget.clone())
+                .run(
                     &graph,
                     &topo,
                     &cost,
                     &initials,
                     budget,
                     SimConfig::default(),
-                )
-            } else {
-                SearchRequest::new(o.seed)
-                    .chains(o.chains)
-                    .exchange_every(o.exchange_every)
-                    .max_microbatches(max_microbatches)
-                    .param_sync(param_sync_axis)
-                    .recompute(recompute_axis)
-                    .mem_budget(mem_budget.clone())
-                    .run(
-                        &graph,
-                        &topo,
-                        &cost,
-                        &initials,
-                        budget,
-                        SimConfig::default(),
-                    )
-            };
+                );
             report("data parallelism", &graph, &topo, &dp);
             report("expert", &graph, &topo, &ex);
             report("flexflow", &graph, &topo, &r.best);
@@ -706,9 +658,8 @@ fn main() -> ExitCode {
                     r.best_cost_us / 1e3
                 );
                 println!(
-                    "chains: {} ({} driver; evals per chain: {})",
+                    "chains: {} (evals per chain: {})",
                     r.chain_evals.len(),
-                    if o.legacy { "sequential" } else { "parallel" },
                     r.chain_evals
                         .iter()
                         .map(u64::to_string)

@@ -6,7 +6,7 @@ use flexflow::baselines::{expert, model_parallel, optcnn};
 use flexflow::core::metrics::SimMetrics;
 use flexflow::core::sim::{simulate_full, SimConfig, Simulator};
 use flexflow::core::taskgraph::TaskGraph;
-use flexflow::core::{Budget, McmcOptimizer, Strategy};
+use flexflow::core::{Budget, SearchRequest, Strategy};
 use flexflow::costmodel::MeasuredCostModel;
 use flexflow::device::clusters;
 use flexflow::opgraph::zoo;
@@ -28,8 +28,7 @@ fn search_beats_or_matches_every_baseline_on_lenet() {
     let ex = expert::strategy(&graph, &topo);
     let oc = optcnn::optimize(&graph, &topo, &cost).strategy;
 
-    let mut opt = McmcOptimizer::new(5);
-    let result = opt.search(
+    let result = SearchRequest::new(5).chains(1).run(
         &graph,
         &topo,
         &cost,
@@ -52,8 +51,7 @@ fn discovered_strategy_executes_correctly_on_the_dataflow_runtime() {
     let graph = zoo::lenet(8);
     let topo = clusters::uniform_cluster(1, 4, 16.0, 4.0);
     let cost = MeasuredCostModel::paper_default();
-    let mut opt = McmcOptimizer::new(6);
-    let result = opt.search(
+    let result = SearchRequest::new(6).chains(1).run(
         &graph,
         &topo,
         &cost,
@@ -79,8 +77,7 @@ fn simulator_tracks_ground_truth_on_searched_strategies() {
     let topo = clusters::p100_cluster(1);
     let cost = MeasuredCostModel::paper_default();
     let cfg = SimConfig::default();
-    let mut opt = McmcOptimizer::new(17);
-    let result = opt.search(
+    let result = SearchRequest::new(17).chains(1).run(
         &graph,
         &topo,
         &cost,
