@@ -51,13 +51,12 @@ fn main() {
         );
         let t = result.telemetry;
         println!(
-            "  txn telemetry: {} commits / {} rollbacks, {:.1} repair steps/proposal, \
-             {} sweeps ({} budget fallbacks), journal depth max {}",
+            "  txn telemetry: {} commits / {} rollbacks, {} sweeps dequeuing {:.0} \
+             tasks/proposal, journal depth max {}",
             t.commits,
             t.rollbacks,
-            t.repair_steps as f64 / t.applies.max(1) as f64,
             t.sweeps,
-            t.fallbacks,
+            t.dequeued as f64 / t.applies.max(1) as f64,
             t.max_journal_depth
         );
         println!("{:>10} {:>14}", "elapsed(s)", "best cost(ms)");

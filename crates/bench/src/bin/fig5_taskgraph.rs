@@ -1,7 +1,7 @@
 //! Reproduces **Figure 5**: the task graph of a 3-layer RNN under model
 //! parallelism, the timeline the full simulation algorithm produces, and
-//! the incrementally-repaired timeline after one configuration change
-//! (delta simulation).
+//! the timeline after one configuration change, re-swept from the first
+//! instant the change can influence (delta simulation).
 
 use flexflow_core::sim::{simulate_delta, simulate_full, SimConfig};
 use flexflow_core::soap::ParallelConfig;
@@ -145,7 +145,7 @@ fn main() {
     let full_timeline = dump(&g, &tg, &state, "Figure 5c: full simulation timeline");
 
     // Figure 5d: move o3 to GPU0 (the paper reduces o3's parallelism; the
-    // point is the incremental repair of the timeline).
+    // point is that only the timeline from o3's inputs on is re-simulated).
     strategy.replace(o3, ParallelConfig::on_device(g.op(o3), topo.device_id(0)));
     let report = tg.rebuild_op(&g, &topo, &strategy, &Fig5Cost, &cfg, o3);
     let delta_makespan = simulate_delta(&tg, &mut state, &report);
@@ -153,15 +153,15 @@ fn main() {
         &g,
         &tg,
         &state,
-        "Figure 5d: delta-repaired timeline after moving o3 to GPU0",
+        "Figure 5d: delta-simulated timeline after moving o3 to GPU0",
     );
     println!(
-        "delta repaired {} removed + {} added tasks; new makespan {delta_makespan:.1}",
+        "delta simulation: {} removed + {} added tasks; new makespan {delta_makespan:.1}",
         report.removed.len(),
         report.added.len()
     );
 
-    // Cross-check: the repaired timeline equals a from-scratch simulation.
+    // Cross-check: the resumed timeline equals a from-scratch simulation.
     let fresh = simulate_full(&TaskGraph::build(&g, &topo, &strategy, &Fig5Cost, &cfg));
     assert!((fresh.makespan_us() - delta_makespan).abs() < 1e-9);
     println!("delta == full: verified");

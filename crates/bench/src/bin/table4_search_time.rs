@@ -1,8 +1,10 @@
 //! Reproduces **Table 4**: end-to-end search time (seconds) of the
 //! execution optimizer with the full and delta simulation algorithms,
 //! across the six DNNs and 4–64 GPUs, averaged over random initial
-//! strategies. The reproduction target is the *shape*: delta beats full
-//! everywhere and its speedup grows with the device count.
+//! strategies, plus a transformer row the paper does not have: gpt_small
+//! on the hierarchical `p100x16-ib` / `p100x64-ib` presets. The
+//! reproduction target is the *shape*: delta beats full everywhere and its
+//! speedup grows with the device count.
 //!
 //! Knobs: `TABLE4_EVALS` (proposals per restart, default 120),
 //! `TABLE4_RESTARTS` (default 3), `TABLE4_MAX_GPUS` (default 64),
@@ -14,7 +16,7 @@ use flexflow_core::sim::SimAlgorithm;
 use flexflow_core::soap::ConfigSpace;
 use flexflow_core::strategy::Strategy;
 use flexflow_costmodel::MeasuredCostModel;
-use flexflow_device::{clusters, DeviceKind};
+use flexflow_device::{clusters, DeviceKind, Topology};
 use flexflow_opgraph::zoo::EVAL_MODELS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,13 +39,38 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// The clusters of a model's row: the paper's P100 cluster at 4–64 GPUs,
+/// or the hierarchical presets for the transformer.
+fn clusters_of(model: &str, max_gpus: usize) -> Vec<Topology> {
+    let all: Vec<Topology> = if model == "gpt_small" {
+        ["p100x16-ib", "p100x64-ib"]
+            .iter()
+            .map(|name| clusters::preset(name).expect("a known preset"))
+            .collect()
+    } else {
+        [4usize, 8, 16, 32, 64]
+            .iter()
+            .map(|&gpus| clusters::paper_cluster(DeviceKind::P100, gpus))
+            .collect()
+    };
+    all.into_iter()
+        .filter(|t| t.num_devices() <= max_gpus)
+        .collect()
+}
+
 fn main() {
     let evals = env_u64("TABLE4_EVALS", 60);
     let restarts = env_u64("TABLE4_RESTARTS", 2);
     let max_gpus = env_u64("TABLE4_MAX_GPUS", 64) as usize;
     let models: Vec<String> = std::env::var("TABLE4_MODELS")
         .map(|s| s.split(',').map(str::to_string).collect())
-        .unwrap_or_else(|_| EVAL_MODELS.iter().map(|s| s.to_string()).collect());
+        .unwrap_or_else(|_| {
+            EVAL_MODELS
+                .iter()
+                .chain(&["gpt_small"])
+                .map(|s| s.to_string())
+                .collect()
+        });
     let cost = MeasuredCostModel::paper_default();
     let mut cells: Vec<Cell> = Vec::new();
 
@@ -54,8 +81,8 @@ fn main() {
     );
     for model in &models {
         let graph = eval_model(model);
-        for &gpus in [4usize, 8, 16, 32, 64].iter().filter(|&&g| g <= max_gpus) {
-            let topo = clusters::paper_cluster(DeviceKind::P100, gpus);
+        for topo in clusters_of(model, max_gpus) {
+            let gpus = topo.num_devices();
             let mut rng = StdRng::seed_from_u64(0x7AB4 ^ gpus as u64);
             let initials: Vec<Strategy> = (0..restarts)
                 .map(|_| {

@@ -246,7 +246,8 @@ pub mod proposal_bench {
     }
 
     /// One delta-simulation proposal: transactional apply (single-op
-    /// rebuild + journaled timeline repair) followed by journal rollback.
+    /// rebuild + a sweep resumed where the change begins) followed by
+    /// rollback.
     pub fn delta_once(sim: &mut Simulator, searchable: &[OpId], rng: &mut StdRng) -> f64 {
         let op = searchable[rng.gen_range(0..searchable.len())];
         let config = random_config(sim.graph().op(op), sim.topology(), ConfigSpace::Full, rng);
@@ -1048,8 +1049,8 @@ pub mod pipeline_bench {
 
 /// Workload + measurement helpers for the `sim_scaling` benchmark (the
 /// hierarchical-timeline half of `bench_smoke`, the PR 6 trajectory):
-/// does the per-island repair frontier keep delta evaluation affordable
-/// as the cluster doubles from 16 to 64 to 256 devices?
+/// does delta evaluation stay affordable as the cluster doubles from 16
+/// to 64 to 256 devices?
 ///
 /// Each cell measures the steady-state rejected-proposal cost (apply +
 /// rollback, the [`proposal_bench::delta_once`] convention) on gpt_small
@@ -1058,10 +1059,11 @@ pub mod pipeline_bench {
 /// bound [`run_contenders`] and the search's random candidates apply on
 /// big clusters — so the cells differ only in cluster size. The quantity
 /// the `--check` gate bounds is the median's growth per device
-/// *doubling* (< 2.2x): with a whole-cluster repair frontier the
-/// rejected-proposal cost tracks the full timeline population, which
-/// doubles with the device count at fixed per-op degree; the island
-/// frontier keeps repair confined to the islands a proposal touches.
+/// *doubling* (< 2.2x). A proposal is evaluated by a sweep resumed at the
+/// first instant it can influence, so its cost is linear in the tasks
+/// from there on; the timeline population doubles with the device count
+/// at fixed per-op degree, and the gate fails anything that grows faster
+/// than that.
 pub mod sim_scaling {
     use flexflow_core::sim::{SimConfig, Simulator};
     use flexflow_core::soap::{random_config_capped, ConfigSpace};

@@ -47,11 +47,12 @@
 //! [`Proposal`] through [`Simulator::propose`] / `commit` / `rollback`,
 //! whichever [`SimAlgorithm`] the simulator was built with. The contract:
 //! `propose` makes the edit and opens one transaction; under delta
-//! simulation each mutation of the task graph and the timeline journals
-//! the *first-touch* prior state of whatever it overwrites (a sweep sets
-//! the displaced timeline aside whole), under full simulation the
-//! displaced task graph is set aside whole; `rollback` replays or swaps
-//! back — restoring graph, timeline and strategy **bit-for-bit** (pinned
+//! simulation each mutation of the task graph journals the *first-touch*
+//! prior state of whatever it overwrites and the sweep, resumed where the
+//! change begins, sets the displaced timeline aside whole; under full
+//! simulation the displaced task graph is set aside whole too; `rollback`
+//! replays or swaps back — restoring graph, timeline and strategy
+//! **bit-for-bit** (pinned
 //! by the `rollback_restores_*` tests). A rejected MCMC proposal therefore
 //! never costs a second build or simulation.
 //!

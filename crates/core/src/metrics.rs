@@ -1,7 +1,7 @@
 //! Aggregate metrics over a simulated timeline, backing the Fig. 8
 //! breakdowns (per-iteration execution time, overall data transfers,
-//! overall task computation time), plus the delta-repair telemetry the
-//! transactional proposal-evaluation path reports.
+//! overall task computation time), plus the telemetry the transactional
+//! proposal-evaluation path reports.
 
 use crate::sim::SimState;
 use crate::taskgraph::{ExecUnit, TaskGraph, TaskKind};
@@ -10,37 +10,36 @@ use std::collections::HashMap;
 /// Telemetry of the transactional proposal-evaluation hot path,
 /// accumulated by [`crate::sim::Simulator`] across
 /// `propose`/`commit`/`rollback` calls and surfaced by the search loop
-/// (`flexflow search --verbose`). Makes the route each proposal took —
-/// sweep, repair, abandoned repair — and the repair effort observable
-/// instead of silent. A full-simulation chain opens transactions too:
-/// every one of its proposals is a sweep that journals nothing.
+/// (`flexflow search --verbose`). Every proposal is evaluated by one sweep,
+/// resumed where the proposal's change begins; `dequeued` is how much of
+/// the graph that was. A full-simulation chain opens transactions too:
+/// every one of its proposals sweeps the whole graph and journals nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeltaTelemetry {
     /// Speculative proposals evaluated (`Simulator::propose`).
     pub applies: u64,
     /// Transactions kept (`Simulator::commit`, explicit or implicit).
     pub commits: u64,
-    /// Transactions undone by journal replay (`Simulator::rollback`).
+    /// Transactions undone (`Simulator::rollback`).
     pub rollbacks: u64,
-    /// Heap pops performed by delta repairs, including the pops an
-    /// abandoned repair spent before it was swept (the incremental work
-    /// metric; compare against task-graph size × applies for the
-    /// full-sweep cost).
+    /// Always 0: there is no repair route. The field remains for the
+    /// benchmark, which reads it.
     pub repair_steps: u64,
-    /// Delta repairs abandoned for a sweep after exhausting their pop
-    /// budget — the dirty suffix they were admitted on.
+    /// Always 0: there is no repair to abandon. The field remains for the
+    /// benchmark, which reads it.
     pub fallbacks: u64,
-    /// Proposals evaluated by a sweep: chosen up front because the dirty
-    /// timeline suffix was too large a share of the schedule to repair, or
-    /// after an abandoned repair (so this includes `fallbacks`).
+    /// Proposals evaluated by a sweep — all that change the task graph, so
+    /// `applies` less the structural no-ops.
     pub sweeps: u64,
-    /// Cumulative journal entries (graph slots + timeline slots) recorded
-    /// by all transactions. Only a repair journals timeline slots; a sweep
-    /// sets the displaced timeline aside by a buffer swap and adds none.
+    /// Tasks dequeued by proposal evaluations: per proposal, the tasks of
+    /// the rebuilt graph from the cut on (every task for a whole sweep).
+    /// Exact and repeatable; compare against task-graph size × `sweeps`.
+    pub dequeued: u64,
+    /// Cumulative task-graph journal entries recorded by all transactions
+    /// (the timeline journals nothing: a sweep sets the displaced timeline
+    /// aside by a buffer swap).
     pub journal_slots: u64,
-    /// Largest single-transaction journal (graph + timeline entries; a
-    /// swept proposal counts its graph entries only, plus whatever an
-    /// abandoned repair had journaled first).
+    /// Largest single-transaction task-graph journal.
     pub max_journal_depth: usize,
 }
 
@@ -51,9 +50,8 @@ impl DeltaTelemetry {
         self.applies += other.applies;
         self.commits += other.commits;
         self.rollbacks += other.rollbacks;
-        self.repair_steps += other.repair_steps;
-        self.fallbacks += other.fallbacks;
         self.sweeps += other.sweeps;
+        self.dequeued += other.dequeued;
         self.journal_slots += other.journal_slots;
         self.max_journal_depth = self.max_journal_depth.max(other.max_journal_depth);
     }

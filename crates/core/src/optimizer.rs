@@ -136,7 +136,7 @@ pub struct SearchResult {
     /// best cost improves (Fig. 12's search curve); the per-chain traces
     /// are merged into one monotone curve of global improvements.
     pub trace: Vec<(f64, f64)>,
-    /// Transaction/repair telemetry aggregated over all restarts and all
+    /// Transaction/sweep telemetry aggregated over all restarts and all
     /// chains.
     pub telemetry: DeltaTelemetry,
     /// Proposals evaluated by each chain, indexed by chain id.

@@ -12,66 +12,60 @@
 //! always produce the same timeline for a given task graph", §5.3) — a
 //! property the test-suite checks bit for bit.
 //!
-//! # Sweep first
+//! # Resumed sweep
 //!
-//! A proposal is evaluated by one of two routes that end in the same
-//! timeline: a **sweep** (Algorithm 1 over the already-rebuilt task graph)
-//! or a **repair** (Algorithm 2 from the rebuild's dirty set).
-//! [`simulate_delta_with`] picks before it touches the timeline. It
-//! estimates the dirty suffix — scheduled tasks ending at or after the
-//! earliest dirty ready time, on the islands the rebuild touched — and
-//! repairs only when [`REPAIR_ADMIT_RATIO`]` × suffix < tasks`. An admitted
-//! repair may pop as many tasks as that suffix; one that needs more is
-//! re-processing waves (a task is re-popped once per predecessor whose end
-//! time moved), is abandoned, and the proposal is swept: the pops lost are
-//! a fraction of the sweep that follows.
+//! Algorithm 1 is a Dijkstra-style sweep: tasks are dequeued in
+//! `(readyTime, seq)` order and appended to their unit's FIFO. The delta
+//! algorithm is the same sweep **resumed at the first instant the rebuild
+//! can influence**, `t_cut`: everything the old sweep dequeued before
+//! `t_cut` is kept as it stands and only the rest of the rebuilt graph is
+//! swept. There is no second route; `t_cut = 0` is the whole sweep.
+//!
+//! From the [`RebuildReport`], `t_cut` is the smallest of
+//!
+//! 1. the old `ready` of every removed task that was scheduled (which
+//!    bounds the old `ready` of every [`RebuildReport::pred_changed`]
+//!    survivor too: it was ready no earlier than the predecessor it lost),
+//! 2. for every added task and every `pred_changed` survivor *none of
+//!    whose current predecessors is added*: the latest old `end` among its
+//!    predecessors (0 with none). A task with an added predecessor is
+//!    bounded through that predecessor.
+//!
+//! Every survivor the old sweep dequeued with `ready < t_cut` (strictly) is
+//! dequeued identically by a sweep of the rebuilt graph. By induction over
+//! the dequeues below `t_cut`: if the two sweeps agree so far, their unit
+//! clocks and the end times of everything dequeued agree. A task waiting in
+//! the new sweep's heap with `ready < t_cut` has all its predecessors
+//! dequeued already, none of them added (by induction), so rule 2 excludes
+//! added tasks and `pred_changed` survivors; any other survivor has the
+//! predecessors it had, hence the ready time it had, and waits in the old
+//! heap too. Conversely a task waiting in the old heap with `ready < t_cut`
+//! is neither removed nor `pred_changed` (rule 1), so it waits in the new
+//! heap with the same key. Equal heaps below `t_cut` pop the same task
+//! onto the same unit clock. The comparison is strict because an added
+//! task may tie an old one at `t_cut` exactly and win on `seq`.
+//!
+//! Per-unit orders are appended in dequeue order, so each is sorted by
+//! `(ready, seq)` and its kept prefix is a `partition_point`. The re-swept
+//! set is the FIFO tails minus the removed slots plus the added ones; every
+//! successor of a re-swept task is re-swept (its ready time is no earlier),
+//! and the sweep asserts so, as it asserts that no re-swept task starts out
+//! ready before the cut — a wrong cut panics instead of corrupting a
+//! timeline.
 //!
 //! The sweep is **double-buffered**: it fills a spare timeline kept in the
-//! caller's [`DeltaScratch`] and swaps it with the live one. Inside a
-//! transaction the displaced timeline is set aside whole, so a sweep
-//! journals no slot, commit hands the displaced buffers back to the
-//! scratch, and rollback swaps them back in (then undoes the slots an
-//! abandoned repair had touched). Execution units are dense indices, every
-//! per-sweep array is reused across proposals, and per-unit FIFO orders
-//! are appended in sweep order; a repair turns the orders of the units it
-//! touches into B-trees on first use.
-//!
-//! # Hierarchical timelines
-//!
-//! On multi-node clusters the delta repair frontier is **island-keyed**:
-//! every task carries the island of its execution unit ([`crate::taskgraph::Task::island`] —
-//! an NVLink/NVSwitch island on hierarchical topologies, a node on flat
-//! ones), and [`DeltaScratch`] holds one repair queue per island plus a
-//! shared cross-island queue for spine-link tasks. A frontier heap over
-//! the islands coordinates the queues, and a bounded horizon
-//! ([`REPAIR_HORIZON_US`]) lets an island drain its local work without a
-//! cross-island heap operation per task. The horizon changes only the
-//! *processing order* of the fixpoint iteration — never its result: the
-//! repair runs until no task's times would change, and that fixpoint is
-//! the unique full-simulation timeline.
-//!
-//! The makespan recomputation and the dirty-suffix estimate are per-unit
-//! walks that exploit the FIFO monotonicity of end times (`O(units)` and
-//! `O(suffix + units)`), so the cost of evaluating a proposal confined to
-//! one island does not grow with the task count of the other 63.
+//! caller's [`DeltaScratch`] (a resumed sweep first copies the live one
+//! into it) and swaps the two. Inside a transaction the displaced timeline
+//! is set aside whole, so nothing is journaled per slot: commit hands the
+//! displaced buffers back to the scratch and rollback swaps them back in.
+//! Execution units are dense indices and every per-sweep array is reused
+//! across proposals.
 
 use crate::metrics::DeltaTelemetry;
 use crate::strategy::{Proposal, Strategy};
 use crate::taskgraph::{ExecUnit, RebuildReport, TaskGraph, TaskId};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
 
 pub use crate::taskgraph::SimConfig;
-
-/// `(ready, seq)` order key of the ready queues and the per-unit FIFO
-/// orders (`ready` as sort bits).
-type OrderKey = (u64, u128);
-
-/// Times are finite and non-negative, so `f64::to_bits` is order-preserving.
-fn key(ready: f64, seq: u128) -> OrderKey {
-    debug_assert!(ready >= 0.0 && ready.is_finite());
-    (ready.to_bits(), seq)
-}
 
 /// Dense index of an execution unit: devices on the even numbers, links on
 /// the odd ones, so the timeline's per-unit tables are plain vectors.
@@ -85,38 +79,24 @@ fn unit_index(unit: ExecUnit) -> usize {
 /// `Timeline::unit_of` of a slot that is not scheduled.
 const UNSCHEDULED: u32 = u32::MAX;
 
-/// Execution order of one unit. A sweep appends to `fifo`; the first
-/// repair that touches the unit moves the entries into `tree`, keyed by
-/// `(ready, seq)`, so it can reposition a task in `O(log n)` — heavy
-/// proposals put hundreds of thousands of communication tasks on one link
-/// queue. At most one of the two is non-empty.
+/// Execution order of one unit, in dequeue order — so sorted by
+/// `(ready, seq)`.
 #[derive(Debug, Clone, Default)]
 struct UnitOrder {
-    /// The unit and its island, recorded when a task is scheduled here (a
-    /// pure function of the topology, so never stale and never journaled).
+    /// The unit, recorded when a task is scheduled here.
     unit: Option<ExecUnit>,
-    island: u32,
     fifo: Vec<TaskId>,
-    tree: BTreeMap<OrderKey, TaskId>,
 }
 
-impl UnitOrder {
-    fn iter(&self) -> impl DoubleEndedIterator<Item = TaskId> + '_ {
-        self.fifo.iter().chain(self.tree.values()).copied()
-    }
-}
-
-/// The simulated schedule proper: what a sweep rewrites wholesale and the
-/// double buffer swaps.
+/// The simulated schedule proper: what a sweep writes and the double
+/// buffer swaps.
 #[derive(Debug, Clone, Default)]
 struct Timeline {
     ready: Vec<f64>,
     start: Vec<f64>,
     end: Vec<f64>,
     /// Dense index of the unit each slot is scheduled on ([`UNSCHEDULED`]
-    /// for free slots). Kept per slot, like `seq`, so a slot recycled to a
-    /// *new* task by a rebuild can still be unscheduled from its old
-    /// position.
+    /// for free slots).
     unit_of: Vec<u32>,
     /// The `seq` each slot was scheduled under; with `ready` it is the
     /// slot's FIFO key.
@@ -127,100 +107,45 @@ struct Timeline {
 }
 
 impl Timeline {
-    /// The order of unit `u` as a B-tree, converting it on first use.
-    fn tree(&mut self, u: usize) -> &mut BTreeMap<OrderKey, TaskId> {
-        let order = &mut self.orders[u];
-        if !order.fifo.is_empty() {
-            let (ready, seq) = (&self.ready, &self.seq);
-            order.tree = order
-                .fifo
-                .drain(..)
-                .map(|id| (key(ready[id.index()], seq[id.index()]), id))
-                .collect();
-        }
-        &mut order.tree
-    }
-
-    /// When a task with these predecessors is ready: the latest of their
-    /// end times (0 with none).
-    fn ready_after<'a>(&self, preds: impl IntoIterator<Item = &'a TaskId>) -> f64 {
-        preds
-            .into_iter()
-            .map(|p| self.end[p.index()])
-            .fold(0.0, f64::max)
+    /// Whether slot `i` holds a scheduled task.
+    fn scheduled(&self, i: usize) -> bool {
+        self.unit_of.get(i).is_some_and(|&u| u != UNSCHEDULED)
     }
 
     /// The order of unit `u`, empty for a unit that never ran a task.
-    fn order(&self, u: usize) -> impl DoubleEndedIterator<Item = TaskId> + '_ {
-        self.orders.get(u).into_iter().flat_map(UnitOrder::iter)
+    fn order(&self, u: usize) -> &[TaskId] {
+        self.orders.get(u).map_or(&[], |o| &o.fifo)
     }
 
     /// The dense index of `unit`, with its order's table entry in place.
-    fn touch_unit(&mut self, unit: ExecUnit, island: u32) -> usize {
+    fn touch_unit(&mut self, unit: ExecUnit) -> usize {
         let u = unit_index(unit);
         if self.orders.len() <= u {
             self.orders.resize_with(u + 1, UnitOrder::default);
         }
         self.orders[u].unit = Some(unit);
-        self.orders[u].island = island;
         u
     }
-}
-
-/// First-touch snapshot of one timeline slot (see [`SimState::begin_txn`]).
-#[derive(Debug, Clone, Copy)]
-struct SlotSave {
-    ready: f64,
-    start: f64,
-    end: f64,
-    unit: u32,
-    seq: u128,
-}
-
-/// Undo journal of one open timeline transaction.
-#[derive(Debug, Clone, Default)]
-struct SimJournal {
-    /// First-touch per-slot snapshots made by a repair, in touch order.
-    slots: Vec<(u32, SlotSave)>,
-    /// Array length, makespan and fallback counter at `begin_txn`.
-    len: usize,
-    makespan: f64,
-    fallbacks: u64,
-    /// The timeline a sweep displaced: the pre-transaction one, except for
-    /// the slots an abandoned repair had already touched (those are in
-    /// `slots`). Once set, nothing further is journaled — the live
-    /// timeline is discarded whole on rollback.
-    displaced: Option<Timeline>,
 }
 
 /// Simulation-time state: per-task times and per-unit execution order.
 ///
 /// Supports transactions mirroring [`TaskGraph::begin_txn`]: between
-/// [`SimState::begin_txn`] and [`SimState::rollback_txn`], a repair
-/// records the first-touch prior value of every slot it mutates and a
-/// sweep sets the displaced timeline aside whole, so a rejected proposal's
-/// timeline is undone by journal replay or a buffer swap instead of a
-/// second simulation or a clone.
+/// [`SimState::begin_txn`] and [`SimState::rollback_txn`] the first sweep
+/// sets the timeline it displaces aside whole, so a rejected proposal's
+/// timeline is undone by a buffer swap instead of a second simulation or
+/// a clone.
 #[derive(Debug, Clone, Default)]
 pub struct SimState {
     tl: Timeline,
-    /// Number of delta repairs abandoned for a sweep because they needed
-    /// more pops than the dirty suffix they were admitted on (see the
-    /// module docs). Timelines stay exact either way. Restored on
-    /// rollback; [`Simulator`] keeps the cumulative count in its
-    /// [`DeltaTelemetry`].
-    pub fallbacks: u64,
-    /// Open transaction, if any.
-    journal: Option<SimJournal>,
-    /// First-touch dedup marker (`slot_epoch[i] == epoch` → already saved).
-    slot_epoch: Vec<u64>,
-    epoch: u64,
+    /// Open transaction, if any: the pre-transaction timeline once a sweep
+    /// has displaced it.
+    txn: Option<Option<Timeline>>,
 }
 
 /// Equality over the logical timeline: which slots are scheduled where,
-/// their times and FIFO keys, the per-unit orders, makespan and fallback
-/// count. Transaction plumbing, the contents of free slots and whether an
-/// order is held as a list or a tree are excluded.
+/// their times and FIFO keys, the per-unit orders and the makespan.
+/// Transaction plumbing and the contents of free slots are excluded.
 impl PartialEq for SimState {
     fn eq(&self, other: &Self) -> bool {
         let (a, b) = (&self.tl, &other.tl);
@@ -232,146 +157,52 @@ impl PartialEq for SimState {
                     && a.seq[i] == b.seq[i])
         };
         a.makespan == b.makespan
-            && self.fallbacks == other.fallbacks
             && a.unit_of == b.unit_of
             && (0..a.unit_of.len()).all(scheduled_eq)
-            && (0..a.orders.len().max(b.orders.len())).all(|u| a.order(u).eq(b.order(u)))
+            && (0..a.orders.len().max(b.orders.len())).all(|u| a.order(u) == b.order(u))
     }
 }
 
 impl SimState {
-    fn ensure_capacity(&mut self, cap: usize) {
-        let tl = &mut self.tl;
-        if tl.ready.len() < cap {
-            tl.ready.resize(cap, 0.0);
-            tl.start.resize(cap, 0.0);
-            tl.end.resize(cap, 0.0);
-            tl.unit_of.resize(cap, UNSCHEDULED);
-            tl.seq.resize(cap, 0);
-        }
-    }
-
-    /// Opens a transaction: subsequent [`simulate_delta_with`] mutations
-    /// can be undone until [`SimState::commit_txn`] or
-    /// [`SimState::rollback_txn`]. Journal-free (zero overhead) otherwise.
+    /// Opens a transaction: subsequent [`simulate_delta_with`] calls can be
+    /// undone until [`SimState::commit_txn`] or [`SimState::rollback_txn`].
     ///
     /// # Panics
     ///
     /// Panics if a transaction is already open.
     pub fn begin_txn(&mut self) {
-        assert!(self.journal.is_none(), "timeline txn already open");
-        self.epoch += 1;
-        self.journal = Some(SimJournal {
-            len: self.tl.ready.len(),
-            makespan: self.tl.makespan,
-            fallbacks: self.fallbacks,
-            ..SimJournal::default()
-        });
+        assert!(self.txn.is_none(), "timeline txn already open");
+        self.txn = Some(None);
     }
 
     /// Closes the open transaction, keeping the new timeline. The buffers
-    /// of a timeline a sweep displaced go to `scratch` for the next sweep.
+    /// of the timeline a sweep displaced go to `scratch` for the next one.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn commit_txn(&mut self, scratch: &mut DeltaScratch) {
-        let j = self.journal.take().expect("no timeline txn open");
-        if let Some(displaced) = j.displaced {
+        if let Some(displaced) = self.txn.take().expect("no timeline txn open") {
             scratch.spare = displaced;
         }
     }
 
     /// Closes the open transaction, restoring the timeline to its exact
-    /// `begin_txn` state: a displaced timeline is swapped back in (the
-    /// discarded one's buffers go to `scratch`), then the slot journal is
-    /// replayed backwards.
+    /// `begin_txn` state: the displaced timeline is swapped back in and the
+    /// discarded one's buffers go to `scratch`.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn rollback_txn(&mut self, scratch: &mut DeltaScratch) {
-        let mut j = self.journal.take().expect("no timeline txn open");
-        if let Some(displaced) = j.displaced.take() {
+        if let Some(displaced) = self.txn.take().expect("no timeline txn open") {
             scratch.spare = std::mem::replace(&mut self.tl, displaced);
         }
-        self.apply_undo(&j);
     }
 
     /// Whether a transaction is open.
     pub fn txn_active(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Timeline slots journaled by the open transaction (0 when none is
-    /// open). Only a repair journals slots; a sweep displaces the whole
-    /// timeline by a swap and saves none, so a swept proposal reads 0 here
-    /// (or, after an abandoned repair, the slots that repair had touched).
-    pub fn journal_depth(&self) -> usize {
-        self.journal.as_ref().map_or(0, |j| j.slots.len())
-    }
-
-    /// Replays the slot journal against the timeline it was recorded on.
-    fn apply_undo(&mut self, j: &SimJournal) {
-        let tl = &mut self.tl;
-        // Phase 1: clear the *current* FIFO entry of every touched slot.
-        // (Every unit with a touched slot was converted to a tree when the
-        // repair first reached it.)
-        for &(i, _) in &j.slots {
-            let i = i as usize;
-            let u = tl.unit_of[i];
-            if u != UNSCHEDULED {
-                let k = key(tl.ready[i], tl.seq[i]);
-                tl.tree(u as usize).remove(&k);
-            }
-        }
-        // Phase 2: restore the saved fields and FIFO entries.
-        for &(i, s) in &j.slots {
-            let idx = i as usize;
-            tl.ready[idx] = s.ready;
-            tl.start[idx] = s.start;
-            tl.end[idx] = s.end;
-            tl.unit_of[idx] = s.unit;
-            tl.seq[idx] = s.seq;
-            if s.unit != UNSCHEDULED {
-                tl.tree(s.unit as usize)
-                    .insert(key(s.ready, s.seq), TaskId(i));
-            }
-        }
-        tl.ready.truncate(j.len);
-        tl.start.truncate(j.len);
-        tl.end.truncate(j.len);
-        tl.unit_of.truncate(j.len);
-        tl.seq.truncate(j.len);
-        tl.makespan = j.makespan;
-        self.fallbacks = j.fallbacks;
-    }
-
-    /// Journals slot `i` once per transaction, before its first mutation.
-    #[inline]
-    fn save_slot(&mut self, i: usize) {
-        let Some(j) = self.journal.as_mut() else {
-            return;
-        };
-        if j.displaced.is_some() {
-            return;
-        }
-        if self.slot_epoch.len() <= i {
-            self.slot_epoch.resize(i + 1, 0);
-        }
-        if self.slot_epoch[i] == self.epoch {
-            return;
-        }
-        self.slot_epoch[i] = self.epoch;
-        let tl = &self.tl;
-        let save = SlotSave {
-            ready: tl.ready[i],
-            start: tl.start[i],
-            end: tl.end[i],
-            unit: tl.unit_of[i],
-            seq: tl.seq[i],
-        };
-        j.slots.push((i as u32, save));
+        self.txn.is_some()
     }
 
     /// The simulated per-iteration execution time in microseconds.
@@ -386,13 +217,13 @@ impl SimState {
     /// Panics if the slot was never simulated.
     pub fn times(&self, id: TaskId) -> (f64, f64, f64) {
         let (tl, i) = (&self.tl, id.index());
-        assert!(tl.unit_of[i] != UNSCHEDULED, "task {id} is not scheduled");
+        assert!(tl.scheduled(i), "task {id} is not scheduled");
         (tl.ready[i], tl.start[i], tl.end[i])
     }
 
     /// The execution order of a unit (empty if the unit never ran a task).
     pub fn order(&self, unit: ExecUnit) -> Vec<TaskId> {
-        self.tl.order(unit_index(unit)).collect()
+        self.tl.order(unit_index(unit)).to_vec()
     }
 
     /// All units that execute at least one task.
@@ -400,109 +231,15 @@ impl SimState {
         self.tl
             .orders
             .iter()
-            .filter(|o| o.iter().next().is_some())
+            .filter(|o| !o.fifo.is_empty())
             .filter_map(|o| o.unit)
-    }
-
-    /// Removes `id` from its unit order; returns its old follower (whose
-    /// `preTask` changed), if any. Works even when the slot has been
-    /// recycled to a new task, thanks to the stored schedule key.
-    fn unschedule(&mut self, id: TaskId) -> Option<TaskId> {
-        let i = id.index();
-        self.save_slot(i);
-        let tl = &mut self.tl;
-        let u = std::mem::replace(&mut tl.unit_of[i], UNSCHEDULED);
-        assert!(u != UNSCHEDULED, "unscheduling unscheduled task {id}");
-        let k = key(tl.ready[i], tl.seq[i]);
-        let order = tl.tree(u as usize);
-        let removed = order.remove(&k);
-        debug_assert_eq!(removed, Some(id));
-        order.range(k..).next().map(|(_, &t)| t)
-    }
-
-    /// Inserts `id` into its unit order at the position dictated by
-    /// `(ready, seq)`; returns the task that follows it (whose `preTask`
-    /// changed), if any.
-    fn schedule(&mut self, tg: &TaskGraph, id: TaskId, ready: f64) -> Option<TaskId> {
-        let i = id.index();
-        self.save_slot(i);
-        let (t, tl) = (tg.task(id), &mut self.tl);
-        let u = tl.touch_unit(t.unit, t.island);
-        tl.unit_of[i] = u as u32;
-        tl.ready[i] = ready;
-        tl.seq[i] = t.seq;
-        let prior = tl.tree(u).insert(key(ready, t.seq), id);
-        debug_assert!(prior.is_none(), "duplicate FIFO key");
-        self.next_of(i, u)
-    }
-
-    /// End time of the task preceding slot `i` on its unit `u` (0 when
-    /// first).
-    fn pre_end(&mut self, i: usize, u: usize) -> f64 {
-        let tl = &mut self.tl;
-        let k = key(tl.ready[i], tl.seq[i]);
-        let pre = tl.tree(u).range(..k).next_back().map(|(_, &pre)| pre);
-        pre.map_or(0.0, |pre| tl.end[pre.index()])
-    }
-
-    /// The task following slot `i` on its unit `u`, whose order a repair
-    /// has already reached (it is a tree).
-    fn next_of(&self, i: usize, u: usize) -> Option<TaskId> {
-        let tl = &self.tl;
-        let k = key(tl.ready[i], tl.seq[i]);
-        tl.orders[u]
-            .tree
-            .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(_, &t)| t)
-    }
-
-    /// Recomputes the makespan in `O(units)`: within one unit, end times
-    /// are monotone non-decreasing along FIFO order (`start = max(ready,
-    /// prev_end)` and `exe >= 0`), so each unit's maximum is its last
-    /// entry's end time. Exact — every live task is scheduled on some
-    /// unit once a repair reaches its fixpoint.
-    fn recompute_makespan(&mut self) {
-        let tl = &mut self.tl;
-        tl.makespan = tl
-            .orders
-            .iter()
-            .filter_map(|order| order.iter().next_back())
-            .map(|id| tl.end[id.index()])
-            .fold(0.0, f64::max);
-    }
-
-    /// Number of scheduled tasks whose end time is at least `t_min`, in
-    /// `O(suffix + units)`: the same FIFO monotonicity as
-    /// [`SimState::recompute_makespan`] lets each unit walk backwards and
-    /// stop at its first earlier task. Equals the count a whole-array scan
-    /// would produce, without touching the untouched timeline prefix.
-    ///
-    /// Unless `all_islands` is set, only units whose island is flagged in
-    /// `dirty` are counted: a repair seeded entirely inside one island
-    /// mostly stays there (frontier tightening stops propagation at
-    /// settled times), so remote islands' schedules should not push the
-    /// decision toward a sweep. The estimate errs toward repair; the pop
-    /// budget bounds the rare spill-over. (An order left empty in buffers
-    /// recycled from another topology may name an island this one lacks.)
-    fn suffix_len(&self, t_min: f64, dirty: &[bool], all_islands: bool) -> usize {
-        let tl = &self.tl;
-        tl.orders
-            .iter()
-            .filter(|o| all_islands || dirty.get(o.island as usize) == Some(&true))
-            .map(|o| {
-                o.iter()
-                    .rev()
-                    .take_while(|id| tl.end[id.index()] >= t_min)
-                    .count()
-            })
-            .sum()
     }
 }
 
 /// Min-heap of the sweep's ready tasks in `(ready, seq)` order. An entry
 /// is `(ready bits, slot)` — 16 bytes; the `seq` half of the key stays in
-/// the timeline's side array and is read only to break a tie.
+/// the timeline's side array and is read only to break a tie. (Times are
+/// finite and non-negative, so `f64::to_bits` is order-preserving.)
 #[derive(Debug, Default)]
 struct ReadyHeap(Vec<(u64, u32)>);
 
@@ -554,10 +291,24 @@ impl ReadyHeap {
     }
 }
 
+/// What a resumed sweep does with a slot. The re-swept classes are the
+/// ones from [`RESWEPT`] up.
+type SlotClass = u8;
+/// Free, or dequeued before the cut: its old times stand.
+const KEPT: SlotClass = 0;
+/// Removed by the rebuild and not recycled.
+const REMOVED: SlotClass = 1;
+/// A survivor dequeued at or after the cut.
+const RESWEPT: SlotClass = 2;
+/// Created by the rebuild: re-swept, and what the old timeline holds for
+/// its slot belongs to a previous occupant.
+const ADDED: SlotClass = 3;
+
 /// Per-sweep working arrays, reused across sweeps.
 #[derive(Debug, Default)]
 struct SweepWork {
-    /// Unfinished predecessors per slot.
+    class: Vec<SlotClass>,
+    /// Unfinished re-swept predecessors per slot.
     remaining: Vec<u32>,
     /// Per slot: `exe_us` and where its successors sit in `succs`.
     tasks: Vec<(f64, std::ops::Range<u32>)>,
@@ -571,91 +322,219 @@ struct SweepWork {
     heap: ReadyHeap,
 }
 
+/// The earliest instant the rebuild behind `report` can influence the
+/// schedule `old` (rules 1–2 of the module docs); 0 when `old` does not
+/// hold a task the rules read, as a fresh state does not. `class` marks
+/// the added slots.
+fn cut_time(tg: &TaskGraph, old: &Timeline, report: &RebuildReport, class: &[SlotClass]) -> f64 {
+    let mut t_cut = f64::INFINITY;
+    for &id in &report.removed {
+        if old.scheduled(id.index()) {
+            t_cut = t_cut.min(old.ready[id.index()]);
+        }
+    }
+    for &id in report.added.iter().chain(&report.pred_changed) {
+        let preds = &tg.task(id).preds;
+        if preds.iter().any(|p| class[p.index()] == ADDED) {
+            continue;
+        }
+        let mut latest = 0.0f64;
+        for p in preds {
+            if !old.scheduled(p.index()) {
+                return 0.0;
+            }
+            latest = latest.max(old.end[p.index()]);
+        }
+        t_cut = t_cut.min(latest);
+    }
+    t_cut
+}
+
 /// The full simulation algorithm (paper Algorithm 1) into `tl`'s buffers:
 /// a Dijkstra-style sweep that dequeues tasks in `(readyTime, seq)` order
-/// and appends each to its unit's FIFO. Whatever `tl` held is overwritten;
-/// nothing is allocated once the buffers have grown to the graph's size.
-fn sweep_into(tg: &TaskGraph, tl: &mut Timeline, work: &mut SweepWork) {
+/// and appends each to its unit's FIFO. With `resume` — the schedule of
+/// the graph before a rebuild, and the rebuild's report — the sweep starts
+/// at the report's cut time over a copy of that schedule (see the module
+/// docs); without, or when the cut is 0, it sweeps the whole graph.
+/// Whatever `tl` held is overwritten; nothing is allocated once the buffers
+/// have grown to the graph's size. Returns the number of tasks dequeued.
+fn sweep_into(
+    tg: &TaskGraph,
+    resume: Option<(&Timeline, &RebuildReport)>,
+    tl: &mut Timeline,
+    work: &mut SweepWork,
+) -> usize {
+    let SweepWork {
+        class,
+        remaining,
+        tasks,
+        succs,
+        free_at,
+        heap,
+    } = work;
     let cap = tg.capacity();
-    tl.ready.clear();
+    class.clear();
+    class.resize(cap, KEPT);
+    let resume = resume.and_then(|(old, report)| {
+        for &id in &report.added {
+            class[id.index()] = ADDED;
+        }
+        let t_cut = cut_time(tg, old, report, class);
+        (t_cut > 0.0).then_some((old, report, t_cut))
+    });
+
+    match resume {
+        Some((old, ..)) => {
+            tl.ready.clone_from(&old.ready);
+            tl.start.clone_from(&old.start);
+            tl.end.clone_from(&old.end);
+            tl.unit_of.clone_from(&old.unit_of);
+            tl.seq.clone_from(&old.seq);
+        }
+        None => tl.unit_of.clear(),
+    }
     tl.ready.resize(cap, 0.0);
     tl.start.resize(cap, 0.0);
     tl.end.resize(cap, 0.0);
-    tl.unit_of.clear();
     tl.unit_of.resize(cap, UNSCHEDULED);
     tl.seq.resize(cap, 0);
     for order in &mut tl.orders {
         order.fifo.clear();
-        order.tree.clear();
     }
-    work.remaining.resize(cap, 0);
-    work.tasks.resize(cap, (0.0, 0..0));
-    work.succs.clear();
-    work.heap.0.clear();
-    for (id, t) in tg.iter() {
-        let i = id.index();
-        tl.unit_of[i] = tl.touch_unit(t.unit, t.island) as u32;
-        tl.seq[i] = t.seq;
-        work.remaining[i] = t.preds.len() as u32;
-        if t.preds.is_empty() {
-            work.heap.0.push((0.0f64.to_bits(), id.0));
+    free_at.clear();
+    let mut kept = 0usize;
+    let t_cut = resume.map_or(0.0, |(.., t_cut)| t_cut);
+    if let Some((old, report, _)) = resume {
+        for &id in &report.removed {
+            let i = id.index();
+            if class[i] != ADDED {
+                class[i] = REMOVED;
+                tl.unit_of[i] = UNSCHEDULED;
+            }
         }
-        let first = work.succs.len() as u32;
-        work.succs.extend_from_slice(&t.succs);
-        work.tasks[i] = (t.exe_us, first..work.succs.len() as u32);
+        if tl.orders.len() < old.orders.len() {
+            tl.orders.resize_with(old.orders.len(), UnitOrder::default);
+        }
+        free_at.resize(tl.orders.len(), 0.0);
+        for (u, o) in old.orders.iter().enumerate() {
+            let (prefix, tail) = o
+                .fifo
+                .split_at(o.fifo.partition_point(|id| old.ready[id.index()] < t_cut));
+            tl.orders[u].unit = o.unit;
+            tl.orders[u].fifo.extend_from_slice(prefix);
+            kept += prefix.len();
+            if let Some(last) = prefix.last() {
+                free_at[u] = old.end[last.index()];
+            }
+            for id in tail {
+                let c = &mut class[id.index()];
+                if *c == KEPT {
+                    *c = RESWEPT;
+                }
+            }
+        }
+    } else {
+        class.fill(RESWEPT);
     }
-    // The roots are all ready at 0: sorted by `seq` they form a heap.
-    work.heap
-        .0
-        .sort_unstable_by_key(|&(_, slot)| tl.seq[slot as usize]);
-    work.free_at.clear();
-    work.free_at.resize(tl.orders.len(), 0.0);
 
-    let mut makespan = 0.0f64;
-    let mut processed = 0usize;
-    while let Some((ready_bits, slot)) = work.heap.pop(&tl.seq) {
+    // Set the re-swept tasks up in slot order, so the reads of the task
+    // table are sequential.
+    remaining.resize(cap, 0);
+    tasks.resize(cap, (0.0, 0..0));
+    succs.clear();
+    heap.0.clear();
+    let mut reswept = 0usize;
+    for i in 0..cap {
+        if class[i] < RESWEPT {
+            continue;
+        }
+        // Only a whole sweep marks free slots.
+        let Some(t) = tg.get(TaskId(i as u32)) else {
+            continue;
+        };
+        reswept += 1;
+        tl.unit_of[i] = tl.touch_unit(t.unit) as u32;
+        tl.seq[i] = t.seq;
+        // Predecessors before the cut have ended; the rest are counted.
+        let (mut ready, mut waiting) = (0.0f64, 0u32);
+        for p in &t.preds {
+            if class[p.index()] >= RESWEPT {
+                waiting += 1;
+            } else {
+                ready = ready.max(tl.end[p.index()]);
+            }
+        }
+        tl.ready[i] = ready;
+        remaining[i] = waiting;
+        if waiting == 0 {
+            assert!(
+                ready >= t_cut,
+                "task t{i} is ready at {ready}, before the cut at {t_cut}"
+            );
+            heap.0.push((ready.to_bits(), i as u32));
+        }
+        let first = succs.len() as u32;
+        for s in &t.succs {
+            assert!(
+                class[s.index()] >= RESWEPT,
+                "task {s} was kept before the cut but follows re-swept task t{i}"
+            );
+        }
+        succs.extend_from_slice(&t.succs);
+        tasks[i] = (t.exe_us, first..succs.len() as u32);
+    }
+    // Sorted by key, the initially ready tasks form a heap.
+    heap.0
+        .sort_unstable_by_key(|&(ready_bits, slot)| (ready_bits, tl.seq[slot as usize]));
+    free_at.resize(tl.orders.len(), 0.0);
+
+    let mut dequeued = 0usize;
+    while let Some((ready_bits, slot)) = heap.pop(&tl.seq) {
         let i = slot as usize;
         let u = tl.unit_of[i] as usize;
-        let start = f64::from_bits(ready_bits).max(work.free_at[u]);
-        let (exe_us, ref succs) = work.tasks[i];
+        let start = f64::from_bits(ready_bits).max(free_at[u]);
+        let (exe_us, ref succ_range) = tasks[i];
         let end = start + exe_us;
         tl.start[i] = start;
         tl.end[i] = end;
-        work.free_at[u] = end;
+        free_at[u] = end;
         tl.orders[u].fifo.push(TaskId(slot));
-        makespan = makespan.max(end);
-        processed += 1;
-        for &s in &work.succs[succs.start as usize..succs.end as usize] {
+        dequeued += 1;
+        for &s in &succs[succ_range.start as usize..succ_range.end as usize] {
             let si = s.index();
             tl.ready[si] = tl.ready[si].max(end);
-            work.remaining[si] -= 1;
-            if work.remaining[si] == 0 {
-                work.heap.push((tl.ready[si].to_bits(), s.0), &tl.seq);
+            remaining[si] -= 1;
+            if remaining[si] == 0 {
+                heap.push((tl.ready[si].to_bits(), s.0), &tl.seq);
             }
         }
     }
     assert_eq!(
-        processed,
-        tg.num_tasks(),
+        dequeued, reswept,
         "task graph has a cycle or dangling dependency"
     );
-    tl.makespan = makespan;
+    assert_eq!(
+        kept + dequeued,
+        tg.num_tasks(),
+        "the resumed timeline is not the schedule of the graph before the rebuild"
+    );
+    // End times are monotone along a unit's order (`start >= ` the previous
+    // end, `exe >= 0`), so the latest end is some unit's last.
+    tl.makespan = free_at.iter().copied().fold(0.0, f64::max);
+    dequeued
 }
 
 /// The full simulation algorithm (paper Algorithm 1) into a fresh state.
 pub fn simulate_full(tg: &TaskGraph) -> SimState {
     let mut state = SimState::default();
-    sweep_into(tg, &mut state.tl, &mut SweepWork::default());
+    sweep_into(tg, None, &mut state.tl, &mut SweepWork::default());
     state
 }
 
-/// One island's repair queue: a min-heap of queued tasks in key order.
-type IslandQueue = BinaryHeap<Reverse<(OrderKey, TaskId)>>;
-
-/// Reusable workspace for [`simulate_delta_with`]: the repair queues and
-/// their dedup markers, the sweep's working arrays and the spare timeline
-/// of the double buffer survive across calls, so steady-state proposals do
-/// no allocation proportional to graph capacity. Owned per [`Simulator`].
+/// Reusable workspace for [`simulate_delta_with`]: the sweep's working
+/// arrays and the spare timeline of the double buffer survive across
+/// calls, so steady-state proposals do no allocation proportional to graph
+/// capacity. Owned per [`Simulator`].
 ///
 /// # Threading contract
 ///
@@ -663,137 +542,27 @@ type IslandQueue = BinaryHeap<Reverse<(OrderKey, TaskId)>>;
 /// mutation goes through `&mut`, so the borrow checker enforces the
 /// "one owner, one thread at a time" discipline — parallel search chains
 /// each own their own scratch (inside their own [`Simulator`]) rather
-/// than sharing one. Moving a scratch to another thread between repairs
-/// is fine; what the epoch/queued bookkeeping cannot survive is two
-/// concurrent repairs, which `&mut` already makes unrepresentable.
+/// than sharing one.
 #[derive(Debug, Default)]
 pub struct DeltaScratch {
-    /// Per-island repair queues; the last index is the shared cross-island
-    /// frontier holding spine-link tasks (see
-    /// [`crate::taskgraph::TaskGraph::num_island_frontiers`]).
-    islands: Vec<IslandQueue>,
-    /// Frontier heap over the islands: one `(key, island)` entry per task
-    /// push. Entries whose task was already consumed by a horizon drain
-    /// are cancelled lazily via `drained`.
-    active: BinaryHeap<Reverse<(OrderKey, u32)>>,
-    /// Per-island count of tasks consumed by horizon drains whose frontier
-    /// entries are still in `active` (lazy deletion).
-    drained: Vec<u64>,
-    /// Island whose queue is currently open for horizon draining.
-    cur_island: Option<usize>,
-    /// `queued[i] == epoch` → slot `i` is currently in a repair queue.
-    queued: Vec<u64>,
-    /// `added[i] == epoch` → slot `i` is in this call's `report.added`.
-    added: Vec<u64>,
-    epoch: u64,
-    /// Islands this call's rebuild touched (the admission estimate).
-    dirty: Vec<bool>,
     /// The double buffer's other half: the next sweep writes here.
     spare: Timeline,
     sweep: SweepWork,
-    /// Queue pops performed by the most recent repair (telemetry).
-    pub last_repair_steps: u64,
-    /// Whether the most recent call swept instead of (or after abandoning)
-    /// an incremental repair (telemetry).
+    /// Tasks the most recent call dequeued: the rebuilt graph's tasks from
+    /// the cut on (telemetry).
+    pub last_dequeued: u64,
+    /// `true` after any call: every proposal is evaluated by a sweep.
     pub last_was_sweep: bool,
-}
-
-/// Cross-island coordination horizon of the repair frontier, in
-/// microseconds: once an island's queue is open, its tasks keep draining
-/// locally — one island-heap pop each, no frontier-heap traffic — as long
-/// as their ready times stay within this bound of the earliest task
-/// waiting on any other island. Spine latencies are single-digit
-/// microseconds, so 25 µs covers a few cross-island hops; the value tunes
-/// only queue locality, never results (the repair is a fixpoint iteration
-/// whose outcome is independent of processing order).
-pub const REPAIR_HORIZON_US: f64 = 25.0;
-
-/// Repair-vs-sweep crossover: a proposal is repaired only when this many
-/// times its dirty suffix is still fewer tasks than the graph has.
-///
-/// Measured, not modelled (release build, 2-core 2.6 GHz Xeon; table in
-/// EXPERIMENTS.md, PR 21): a journaled repair pop costs 0.51–0.63 µs and
-/// a sweep 70–130 ns per task, so one pop is worth 5–8 sweep steps — and
-/// the median completed repair pops a suffix task 1.9 times on
-/// `search_rnnlm4`, 18–58 times on gpt_small at 16–256 devices. At 16 the
-/// repairs admitted on `search_rnnlm4`, `search_gpt64` and `sim_scaling`
-/// cost within 6 % of sweeping them (at 8: up to 30 % more). An abandoned
-/// repair has spent at most `tasks / 16` pops; with the sweep that follows
-/// such a proposal costs 1.4–1.5 up-front sweeps (median; 1.9–2.1 worst).
-pub const REPAIR_ADMIT_RATIO: usize = 16;
-
-/// Pop-budget floor: below it a repair costs microseconds either way.
-const MIN_REPAIR_BUDGET: usize = 64;
-
-impl DeltaScratch {
-    #[inline]
-    fn push(&mut self, tg: &TaskGraph, state: &SimState, id: TaskId) {
-        let i = id.index();
-        if self.queued[i] == self.epoch {
-            return;
-        }
-        if let Some(t) = tg.get(id) {
-            self.queued[i] = self.epoch;
-            let k = key(state.tl.ready[i], t.seq);
-            self.islands[t.island as usize].push(Reverse((k, id)));
-            self.active.push(Reverse((k, t.island)));
-        }
-    }
-
-    /// Dequeues the next task to repair. Exact `(ready, seq)` order across
-    /// islands, except that the open island may run ahead by up to
-    /// [`REPAIR_HORIZON_US`] — a locality optimization with no effect on
-    /// the repaired timeline.
-    fn pop(&mut self) -> Option<TaskId> {
-        if let Some(ci) = self.cur_island {
-            if let Some(&Reverse(((ready_bits, _), _))) = self.islands[ci].peek() {
-                let frontier = self
-                    .active
-                    .peek()
-                    .map_or(f64::INFINITY, |&Reverse(((b, _), _))| f64::from_bits(b));
-                if f64::from_bits(ready_bits) <= frontier + REPAIR_HORIZON_US {
-                    let Reverse((_, id)) = self.islands[ci].pop().expect("peeked");
-                    self.drained[ci] += 1;
-                    return Some(id);
-                }
-            }
-            self.cur_island = None;
-        }
-        while let Some(Reverse((_, isl))) = self.active.pop() {
-            let ci = isl as usize;
-            if self.drained[ci] > 0 {
-                // A horizon drain already consumed the task this frontier
-                // entry was pushed for.
-                self.drained[ci] -= 1;
-                continue;
-            }
-            let Reverse((_, id)) = self.islands[ci].pop().expect("frontier entry has a task");
-            self.cur_island = Some(ci);
-            return Some(id);
-        }
-        None
-    }
-
-    /// Empties every queue (call entry and the abandoned-repair bail-out).
-    fn clear_queues(&mut self) {
-        for h in &mut self.islands {
-            h.clear();
-        }
-        self.active.clear();
-        self.drained.fill(0);
-        self.cur_island = None;
-    }
 }
 
 /// The delta simulation algorithm (paper Algorithm 2): given the previous
 /// timeline and the [`RebuildReport`] of a structural change, brings the
-/// timeline up to date with the rebuilt graph — by repairing the affected
-/// portion or, when that would cost more, by sweeping (see the module
-/// docs for the rule).
+/// timeline up to date with the rebuilt graph by re-running Algorithm 1
+/// from the first instant the change can influence (see the module docs).
 ///
 /// Returns the new makespan. The resulting state is identical to running
-/// [`simulate_full`] on the updated graph. A repair that outruns its pop
-/// budget is abandoned for a sweep and increments [`SimState::fallbacks`].
+/// [`simulate_full`] on the updated graph. `state` must be the schedule of
+/// the graph as it was before the rebuild, or fresh.
 ///
 /// Convenience wrapper over [`simulate_delta_with`] that allocates a fresh
 /// scratch; hot loops should hold a [`DeltaScratch`] and call the `_with`
@@ -805,180 +574,35 @@ pub fn simulate_delta(tg: &TaskGraph, state: &mut SimState, report: &RebuildRepo
 /// [`simulate_delta`] with a caller-owned [`DeltaScratch`].
 ///
 /// When `state` has an open transaction (see [`SimState::begin_txn`]),
-/// the call can be rolled back exactly whichever route it took.
+/// the call can be rolled back exactly.
 pub fn simulate_delta_with(
     tg: &TaskGraph,
     state: &mut SimState,
     report: &RebuildReport,
     scratch: &mut DeltaScratch,
 ) -> f64 {
-    state.ensure_capacity(tg.capacity());
-    let frontiers = tg.num_island_frontiers();
-    if scratch.islands.len() < frontiers {
-        scratch.islands.resize_with(frontiers, BinaryHeap::new);
-        scratch.drained.resize(frontiers, 0);
-    }
-    scratch.clear_queues();
-    scratch.epoch += 1;
-    if scratch.queued.len() < tg.capacity() {
-        scratch.queued.resize(tg.capacity(), 0);
-        scratch.added.resize(tg.capacity(), 0);
-    }
-    scratch.last_repair_steps = 0;
-    scratch.last_was_sweep = false;
-
-    // 0. Sweep or repair? Estimate the dirty suffix from the earliest
-    //    dirty ready time via per-unit reverse walks (O(suffix + units),
-    //    see SimState::suffix_len), so a proposal confined to one island
-    //    pays nothing for the other islands' task counts.
-    let n = tg.num_tasks();
-    let mut t_min = f64::INFINITY;
-    // Islands the structural change touches; the last flag is the
-    // cross-island frontier — spine traffic can propagate anywhere, so it
-    // forces the conservative whole-cluster estimate.
-    scratch.dirty.clear();
-    scratch.dirty.resize(frontiers, false);
-    for &id in report.removed.iter().chain(&report.pred_changed) {
-        let i = id.index();
-        let u = state.tl.unit_of[i];
-        if u != UNSCHEDULED {
-            t_min = t_min.min(state.tl.ready[i]);
-            scratch.dirty[state.tl.orders[u as usize].island as usize] = true;
-        }
-    }
-    for &id in &report.added {
-        scratch.added[id.index()] = scratch.epoch;
-    }
-    for &id in &report.added {
-        let t = tg.task(id);
-        scratch.dirty[t.island as usize] = true;
-        // A new task becomes ready no earlier than its surviving
-        // predecessors end. Predecessors that are themselves new have no
-        // time yet (their slots may hold a previous occupant's); a task
-        // with only such predecessors is bounded through them.
-        let mut surviving = t
-            .preds
-            .iter()
-            .filter(|p| scratch.added[p.index()] != scratch.epoch)
-            .peekable();
-        if t.preds.is_empty() || surviving.peek().is_some() {
-            t_min = t_min.min(state.tl.ready_after(surviving));
-        }
-    }
-    let all_islands = scratch.dirty[frontiers - 1];
-    let suffix = if t_min.is_finite() {
-        state.suffix_len(t_min, &scratch.dirty, all_islands) + report.added.len()
-    } else {
-        0
-    };
-    if REPAIR_ADMIT_RATIO * suffix >= n && n > 0 {
-        return sweep_in_place(tg, state, scratch);
-    }
-
-    // 1. Unschedule removed slots (their old unit is recorded in the state;
-    //    the slot may already host a replacement task).
-    for &id in &report.removed {
-        if state.tl.unit_of[id.index()] != UNSCHEDULED {
-            if let Some(shifted) = state.unschedule(id) {
-                scratch.push(tg, state, shifted);
-            }
-        }
-    }
-    // 2. Schedule added tasks. Seeding their provisional ready times from
-    //    their predecessors' current end times (zeroing added slots first
-    //    so recycled slots contribute nothing stale) makes the heap process
-    //    most tasks once, after their inputs have settled — seeding at 0
-    //    would pop every added task once before its wave arrives.
-    for &id in &report.added {
-        state.save_slot(id.index());
-        state.tl.start[id.index()] = 0.0;
-        state.tl.end[id.index()] = 0.0;
-    }
-    for &id in &report.added {
-        let init_ready = state.tl.ready_after(&tg.task(id).preds);
-        if let Some(follower) = state.schedule(tg, id, init_ready) {
-            scratch.push(tg, state, follower);
-        }
-        scratch.push(tg, state, id);
-    }
-    // 3. Surviving tasks that lost predecessors may become ready earlier.
-    for &id in &report.pred_changed {
-        scratch.push(tg, state, id);
-    }
-
-    // 4. Fixpoint propagation in (ready, seq) order, for at most as many
-    //    pops as the suffix the repair was admitted on.
-    let budget = suffix.max(MIN_REPAIR_BUDGET) as u64;
-    let mut steps = 0u64;
-    while let Some(id) = scratch.pop() {
-        scratch.queued[id.index()] = 0;
-        let Some(t) = tg.get(id) else { continue };
-        steps += 1;
-        if steps > budget {
-            scratch.last_repair_steps = steps;
-            scratch.clear_queues();
-            state.fallbacks += 1;
-            return sweep_in_place(tg, state, scratch);
-        }
-        let new_ready = state.tl.ready_after(&t.preds);
-        let i = id.index();
-        if new_ready != state.tl.ready[i] {
-            // Reposition within the FIFO order (the "swap" of Algorithm 2).
-            if let Some(shifted) = state.unschedule(id) {
-                scratch.push(tg, state, shifted);
-            }
-            if let Some(follower) = state.schedule(tg, id, new_ready) {
-                scratch.push(tg, state, follower);
-            }
-        }
-        let u = state.tl.unit_of[i] as usize;
-        let new_start = new_ready.max(state.pre_end(i, u));
-        let new_end = new_start + t.exe_us;
-        if new_start != state.tl.start[i] || new_end != state.tl.end[i] {
-            let old_end = state.tl.end[i];
-            state.save_slot(i);
-            state.tl.start[i] = new_start;
-            state.tl.end[i] = new_end;
-            // Frontier tightening: a changed end only matters to a
-            // dependent whose ready/start this task could determine. If
-            // both the old and the new end sit strictly below the
-            // dependent's settled ready (or start, for the FIFO follower),
-            // the dependent's times cannot change — skip the push and keep
-            // the untouched timeline suffix untouched. Dependents already
-            // queued are unaffected (the push dedups).
-            for &s in &t.succs {
-                let si = s.index();
-                if new_end > state.tl.ready[si] || old_end >= state.tl.ready[si] {
-                    scratch.push(tg, state, s);
-                }
-            }
-            if let Some(next) = state.next_of(i, u) {
-                let ni = next.index();
-                if new_end > state.tl.start[ni] || old_end >= state.tl.start[ni] {
-                    scratch.push(tg, state, next);
-                }
-            }
-        }
-    }
-    scratch.last_repair_steps = steps;
-    state.recompute_makespan();
-    state.tl.makespan
+    sweep_in_place(tg, state, scratch, Some(report))
 }
 
-/// Replaces the timeline with a from-scratch sweep of the current graph:
-/// the sweep fills the scratch's spare timeline, which is then swapped
-/// with the live one. Outside a transaction the displaced timeline is the
-/// next spare. Inside one it moves into the journal — untouched, or as an
-/// abandoned repair left it, with that repair's slot journal kept beside
-/// it — until commit or rollback returns a set of buffers to the scratch.
-fn sweep_in_place(tg: &TaskGraph, state: &mut SimState, scratch: &mut DeltaScratch) -> f64 {
+/// Replaces the timeline with a sweep of the current graph — resumed from
+/// the live timeline when the rebuild that led to the graph left a
+/// `report`, whole otherwise. The sweep fills the scratch's spare
+/// timeline, which is then swapped with the live one. Outside a
+/// transaction the displaced timeline is the next spare; inside one it is
+/// set aside until commit or rollback returns a set of buffers to the
+/// scratch.
+fn sweep_in_place(
+    tg: &TaskGraph,
+    state: &mut SimState,
+    scratch: &mut DeltaScratch,
+    report: Option<&RebuildReport>,
+) -> f64 {
+    let resume = report.map(|r| (&state.tl, r));
+    scratch.last_dequeued = sweep_into(tg, resume, &mut scratch.spare, &mut scratch.sweep) as u64;
     scratch.last_was_sweep = true;
-    sweep_into(tg, &mut scratch.spare, &mut scratch.sweep);
     std::mem::swap(&mut state.tl, &mut scratch.spare);
-    if let Some(j) = state.journal.as_mut() {
-        if j.displaced.is_none() {
-            j.displaced = Some(std::mem::take(&mut scratch.spare));
-        }
+    if let Some(displaced @ None) = state.txn.as_mut() {
+        *displaced = Some(std::mem::take(&mut scratch.spare));
     }
     state.tl.makespan
 }
@@ -990,8 +614,9 @@ pub enum SimAlgorithm {
     /// (paper §5.2, Algorithm 1): the baseline of Table 4 / Fig. 12 and the
     /// reference the delta path is tested against.
     Full,
-    /// Rebuild only the tasks the proposal touches, then repair or sweep
-    /// the previous timeline (paper §5.3, Algorithm 2).
+    /// Rebuild only the tasks the proposal touches, then resume the sweep
+    /// of the previous timeline where the change begins (paper §5.3,
+    /// Algorithm 2).
     #[default]
     Delta,
 }
@@ -1009,10 +634,10 @@ pub enum SimAlgorithm {
 ///
 /// - **Delta** ([`Simulator::new`]): journaled surgery on the task graph
 ///   (one op, one layer's sync chain, or every op for a microbatch change)
-///   followed by a repair or sweep (see the module docs). Rollback replays
-///   the journals and, after a sweep, swaps the displaced timeline back —
-///   no second simulation, no structure clone. Rejected proposals dominate
-///   an MCMC walk, so this is the hot path of the whole search.
+///   followed by a resumed sweep (see the module docs). Rollback replays
+///   the graph's journal and swaps the displaced timeline back — no second
+///   simulation, no structure clone. Rejected proposals dominate an MCMC
+///   walk, so this is the hot path of the whole search.
 /// - **Full** ([`Simulator::with_algorithm`]): the proposed strategy's
 ///   task graph is built from scratch and swept into the double buffer;
 ///   the displaced graph is set aside whole, dropped on commit and swapped
@@ -1091,7 +716,7 @@ impl<'a> Simulator<'a> {
             txn: None,
             telemetry: DeltaTelemetry::default(),
         };
-        sweep_in_place(&sim.tg, &mut sim.state, &mut sim.scratch);
+        sweep_in_place(&sim.tg, &mut sim.state, &mut sim.scratch, None);
         sim
     }
 
@@ -1125,25 +750,18 @@ impl<'a> Simulator<'a> {
         &self.state
     }
 
-    /// Cumulative transaction/repair telemetry.
+    /// Cumulative transaction/sweep telemetry.
     pub fn telemetry(&self) -> DeltaTelemetry {
         self.telemetry
     }
 
-    /// Brings the timeline up to date with a journaled rebuild's report.
-    fn delta(&mut self, report: &RebuildReport) -> f64 {
-        let fallbacks_before = self.state.fallbacks;
-        let cost = simulate_delta_with(&self.tg, &mut self.state, report, &mut self.scratch);
-        self.telemetry.repair_steps += self.scratch.last_repair_steps;
-        self.telemetry.fallbacks += self.state.fallbacks - fallbacks_before;
-        self.telemetry.sweeps += u64::from(self.scratch.last_was_sweep);
-        cost
-    }
-
-    /// Sweeps the current task graph into the double buffer.
-    fn sweep(&mut self) -> f64 {
+    /// Brings the timeline up to date with the task graph: a sweep resumed
+    /// at the cut of a journaled rebuild's `report`, whole without one.
+    fn sweep(&mut self, report: Option<&RebuildReport>) -> f64 {
+        let cost = sweep_in_place(&self.tg, &mut self.state, &mut self.scratch, report);
         self.telemetry.sweeps += 1;
-        sweep_in_place(&self.tg, &mut self.state, &mut self.scratch)
+        self.telemetry.dequeued += self.scratch.last_dequeued;
+        cost
     }
 
     /// Speculatively makes the edit `p` describes and returns the new
@@ -1170,7 +788,7 @@ impl<'a> Simulator<'a> {
             SimAlgorithm::Full => {
                 let built = TaskGraph::build(graph, topo, &self.strategy, cost, &cfg);
                 let displaced = std::mem::replace(&mut self.tg, built);
-                (self.sweep(), Some(displaced))
+                (self.sweep(None), Some(displaced))
             }
             SimAlgorithm::Delta => {
                 self.tg.begin_txn();
@@ -1178,18 +796,18 @@ impl<'a> Simulator<'a> {
                 let new_cost = match undo {
                     Proposal::Config(op, _) | Proposal::Recompute(op, _) => {
                         let report = self.tg.rebuild_op(graph, topo, s, cost, &cfg, op);
-                        self.delta(&report)
+                        self.sweep(Some(&report))
                     }
                     Proposal::Microbatches(_) => {
                         self.tg.rebuild_all(graph, topo, s, cost, &cfg);
-                        self.sweep()
+                        self.sweep(None)
                     }
                     Proposal::ParamSync(op, _) => match graph.op(op).layer() {
                         Some(layer) => {
                             let report = self
                                 .tg
                                 .rebuild_layer_sync(graph, topo, s, cost, &cfg, layer);
-                            self.delta(&report)
+                            self.sweep(Some(&report))
                         }
                         None => self.state.makespan_us(),
                     },
@@ -1199,7 +817,7 @@ impl<'a> Simulator<'a> {
         };
         self.txn = Some((undo, displaced));
         self.telemetry.applies += 1;
-        let depth = self.tg.journal_depth() + self.state.journal_depth();
+        let depth = self.tg.journal_depth();
         self.telemetry.journal_slots += depth as u64;
         self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
         new_cost
@@ -1267,7 +885,7 @@ impl<'a> Simulator<'a> {
         self.commit();
         self.strategy = strategy;
         self.tg = TaskGraph::build(self.graph, self.topo, &self.strategy, self.cost, &self.cfg);
-        sweep_in_place(&self.tg, &mut self.state, &mut self.scratch)
+        sweep_in_place(&self.tg, &mut self.state, &mut self.scratch, None)
     }
 }
 
@@ -1514,6 +1132,87 @@ mod tests {
                 fresh.makespan_us()
             );
         }
+    }
+
+    #[test]
+    fn rootless_additions_and_fresh_states_take_the_whole_sweep() {
+        let g = fig5_graph();
+        let topo = fig5_topo();
+        let cfg = fig5_cfg();
+        let mut s = fig5_strategy(&g, &topo);
+        let mut tg = TaskGraph::build(&g, &topo, &s, &FixedCost, &cfg);
+        let mut state = simulate_full(&tg);
+        let mut scratch = DeltaScratch::default();
+        let op_named = |name: &str| g.ids().find(|&i| g.op(i).name() == name).unwrap();
+
+        // Moving an input re-creates its task, which has no predecessor:
+        // the cut is 0.
+        let x2 = op_named("x2");
+        s.replace(x2, ParallelConfig::on_device(g.op(x2), topo.device_id(2)));
+        let report = tg.rebuild_op(&g, &topo, &s, &FixedCost, &cfg, x2);
+        assert!(report.added.iter().any(|&id| tg.task(id).preds.is_empty()));
+        let cost = simulate_delta_with(&tg, &mut state, &report, &mut scratch);
+        assert_eq!(scratch.last_dequeued, tg.num_tasks() as u64);
+        assert_eq!(cost.to_bits(), state.makespan_us().to_bits());
+        assert!(state == simulate_full(&tg));
+
+        // Moving the last op cuts late — unless nothing is scheduled yet.
+        let o6 = op_named("o6");
+        s.replace(o6, ParallelConfig::on_device(g.op(o6), topo.device_id(0)));
+        let report = tg.rebuild_op(&g, &topo, &s, &FixedCost, &cfg, o6);
+        let mut fresh = SimState::default();
+        simulate_delta_with(&tg, &mut fresh, &report, &mut scratch);
+        assert_eq!(scratch.last_dequeued, tg.num_tasks() as u64);
+        simulate_delta_with(&tg, &mut state, &report, &mut scratch);
+        assert!(scratch.last_dequeued < tg.num_tasks() as u64);
+        assert!(fresh == state && state == simulate_full(&tg));
+    }
+
+    #[test]
+    fn a_survivor_that_only_loses_a_predecessor_pulls_the_cut_back() {
+        // Two weight-tied linears far apart in time: the layer's sync tasks
+        // wait for both. Rebuilding the late one *without* parameter sync
+        // (the test's way to a rebuild no proposal makes: the sync tasks
+        // survive and lose a predecessor without being handed a new one)
+        // makes them ready when the early linear ends — before anything
+        // removed or added.
+        let mut g = OpGraph::new("tied");
+        let x = g.add_input("x", TensorShape::new(&[8, 16]));
+        let layer = g.fresh_layer();
+        let linear = OpKind::Linear { out_features: 16 };
+        let mut last = g
+            .add_op_in_layer(linear.clone(), &[x], "early", layer)
+            .unwrap();
+        for i in 0..3 {
+            last = g
+                .add_op(linear.clone(), &[last], format!("mid{i}"))
+                .unwrap();
+        }
+        let late = g.add_op_in_layer(linear, &[last], "late", layer).unwrap();
+        let topo = clusters::uniform_cluster(1, 2, 16.0, 4.0);
+        let cost = MeasuredCostModel::paper_default();
+        let cfg = SimConfig::default();
+        let s = Strategy::data_parallel(&g, &topo);
+        let mut tg = TaskGraph::build(&g, &topo, &s, &cost, &cfg);
+        let mut state = simulate_full(&tg);
+        let late_ready = state.times(tg.tasks_of_op(late)[0]).0;
+
+        let no_sync = SimConfig {
+            include_param_sync: false,
+            ..cfg
+        };
+        let report = tg.rebuild_op(&g, &topo, &s, &cost, &no_sync, late);
+        let orphaned = |id: &TaskId| tg.task(*id).preds.iter().all(|p| !report.added.contains(p));
+        assert!(report.pred_changed.iter().any(orphaned));
+        let mut scratch = DeltaScratch::default();
+        simulate_delta_with(&tg, &mut state, &report, &mut scratch);
+        assert!(state == simulate_full(&tg));
+        let sync_ready = report
+            .pred_changed
+            .iter()
+            .map(|&id| state.times(id).0)
+            .fold(f64::INFINITY, f64::min);
+        assert!(sync_ready < late_ready, "{sync_ready} vs {late_ready}");
     }
 
     #[test]

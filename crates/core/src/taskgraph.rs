@@ -45,7 +45,7 @@
 //! prior state of whatever it overwrites, and [`TaskGraph::rollback_txn`]
 //! replays the journal to restore the graph bit-for-bit — the rejected-
 //! proposal path of the MCMC optimizer, which previously needed either a
-//! second full repair or a clone of the whole structure.
+//! second rebuild or a clone of the whole structure.
 
 use crate::soap::{ParallelConfig, SyncPlan};
 use crate::strategy::Strategy;
@@ -150,24 +150,6 @@ pub struct Task {
     /// is independent of the delta-update history that produced its task
     /// graph, and the full and delta algorithms yield identical timelines.
     pub seq: u128,
-    /// Frontier index of the task's island: compute tasks and intra-island
-    /// links carry their island's index (`Topology::island_of`); spine
-    /// links (and any link whose routes straddle islands) carry
-    /// [`TaskGraph::num_island_frontiers`]` - 1`, the shared cross-island
-    /// frontier. On flat topologies islands degenerate to nodes. The delta
-    /// simulator keys its repair frontier on this, so a proposal confined
-    /// to one island never touches the other islands' queues.
-    pub island: u32,
-}
-
-/// The repair-frontier index of `unit` (see [`Task::island`]): the unit's
-/// island, or `num_islands` — the cross-island frontier — for links whose
-/// routes straddle islands.
-fn unit_island(topo: &Topology, num_islands: u32, unit: ExecUnit) -> u32 {
-    match unit {
-        ExecUnit::Gpu(d) => topo.island_of(d),
-        ExecUnit::Link(l) => topo.island_of_link(l).unwrap_or(num_islands),
-    }
 }
 
 /// Packs a stable ordering key. Fields must stay below 2^30.
@@ -332,9 +314,9 @@ pub struct TaskGraph {
     /// entry, so the memo is cleared wholesale instead of keying each
     /// entry on `m` — the hot per-config probe stays clone-free.
     mat_cache_mb: u64,
-    /// Island count of the topology the graph was built against (fixed for
-    /// the graph's lifetime: rebuilds always target the same topology).
-    num_islands: u32,
+    /// Per-slot flags of the removal in progress (see
+    /// [`TaskGraph::remove_tasks`]); all zero between calls.
+    removal_marks: Vec<u8>,
 }
 
 /// Equality over the *logical* graph: slots, free list, bookkeeping and
@@ -376,7 +358,7 @@ impl TaskGraph {
             mat_cache: HashMap::new(),
             mat_cache_entries: 0,
             mat_cache_mb: strategy.microbatches(),
-            num_islands: topo.num_islands() as u32,
+            removal_marks: Vec::new(),
         };
         tg.run_build_passes(BuildCtx {
             graph,
@@ -598,13 +580,6 @@ impl TaskGraph {
         self.tasks.len()
     }
 
-    /// Number of repair-frontier queues the delta simulator needs: one per
-    /// island of the build topology plus the shared cross-island frontier
-    /// (the last index, holding spine-link tasks).
-    pub fn num_island_frontiers(&self) -> usize {
-        self.num_islands as usize + 1
-    }
-
     /// The task in a slot, or `None` if the slot is free.
     pub fn get(&self, id: TaskId) -> Option<&Task> {
         self.tasks.get(id.index()).and_then(|t| t.as_ref())
@@ -646,9 +621,9 @@ impl TaskGraph {
     /// tensor edges, and the synchronization tasks of its layer; then
     /// recreates them for the configuration recorded in `strategy`.
     ///
-    /// Returns the set of *dirty* tasks whose inputs changed (new tasks and
-    /// surviving tasks that lost or gained predecessors) — the seed set for
-    /// the delta simulation algorithm.
+    /// Returns what changed (removed tasks, new tasks and surviving tasks
+    /// that lost predecessors) — what the delta simulation algorithm dates
+    /// its cut from.
     ///
     /// Inside an open transaction (see [`TaskGraph::begin_txn`]) every
     /// mutation is journaled so the rebuild can be rolled back exactly.
@@ -704,49 +679,7 @@ impl TaskGraph {
                 doomed.extend(std::mem::take(&mut self.sync_tasks[layer.index()]));
             }
         }
-        // Batched removal: take all doomed tasks first, then clean each
-        // surviving neighbour's adjacency lists in ONE retain pass. A
-        // per-task retain would be quadratic in the degree — heavy
-        // configurations attach 10^5 communication tasks to one producer.
-        let doomed_set: HashSet<TaskId> = doomed.iter().copied().collect();
-        let mut succ_touched: HashSet<TaskId> = HashSet::new();
-        let mut pred_touched: HashSet<TaskId> = HashSet::new();
-        for &id in &doomed {
-            self.j_save_slot(id);
-            let task = self.tasks[id.index()]
-                .take()
-                .unwrap_or_else(|| panic!("removing dead task {id}"));
-            self.alive -= 1;
-            self.free.push(id);
-            for p in task.preds {
-                if !doomed_set.contains(&p) {
-                    succ_touched.insert(p);
-                }
-            }
-            for s in task.succs {
-                if !doomed_set.contains(&s) {
-                    pred_touched.insert(s);
-                }
-            }
-        }
-        for &p in &succ_touched {
-            self.j_save_slot(p);
-            self.tasks[p.index()]
-                .as_mut()
-                .expect("survivor is live")
-                .succs
-                .retain(|t| !doomed_set.contains(t));
-        }
-        for &s in &pred_touched {
-            self.j_save_slot(s);
-            self.tasks[s.index()]
-                .as_mut()
-                .expect("survivor is live")
-                .preds
-                .retain(|t| !doomed_set.contains(t));
-            // A surviving task lost a predecessor: dirty.
-            report.pred_changed.push(s);
-        }
+        report.pred_changed = self.remove_tasks(&doomed);
         self.op_tasks[op.index()].clear();
 
         // 2. Recreate the op's tasks and its attachments.
@@ -842,6 +775,68 @@ impl TaskGraph {
             cfg,
         });
         self.created_log.clear();
+    }
+
+    /// Frees the `doomed` slots and strips them from the adjacency lists of
+    /// their surviving neighbours; returns the survivors that lost a
+    /// predecessor, in first-touch order.
+    ///
+    /// Batched: all doomed tasks are taken first, then each surviving
+    /// neighbour's list is cleaned in ONE retain pass. A per-task retain
+    /// would be quadratic in the degree — heavy configurations attach 10^5
+    /// communication tasks to one producer.
+    fn remove_tasks(&mut self, doomed: &[TaskId]) -> Vec<TaskId> {
+        const DOOMED: u8 = 1;
+        const LOST_SUCC: u8 = 2;
+        const LOST_PRED: u8 = 4;
+        self.removal_marks.resize(self.tasks.len(), 0);
+        for &id in doomed {
+            self.removal_marks[id.index()] = DOOMED;
+        }
+        let mut lost_succ: Vec<TaskId> = Vec::new();
+        let mut lost_pred: Vec<TaskId> = Vec::new();
+        for &id in doomed {
+            self.j_save_slot(id);
+            let task = self.tasks[id.index()]
+                .take()
+                .unwrap_or_else(|| panic!("removing dead task {id}"));
+            self.alive -= 1;
+            self.free.push(id);
+            for (neighbours, lost, touched) in [
+                (task.preds, LOST_SUCC, &mut lost_succ),
+                (task.succs, LOST_PRED, &mut lost_pred),
+            ] {
+                for n in neighbours {
+                    let mark = &mut self.removal_marks[n.index()];
+                    if *mark & (DOOMED | lost) == 0 {
+                        *mark |= lost;
+                        touched.push(n);
+                    }
+                }
+            }
+        }
+        for &p in &lost_succ {
+            self.j_save_slot(p);
+            let marks = &self.removal_marks;
+            self.tasks[p.index()]
+                .as_mut()
+                .expect("survivor is live")
+                .succs
+                .retain(|t| marks[t.index()] != DOOMED);
+        }
+        for &s in &lost_pred {
+            self.j_save_slot(s);
+            let marks = &self.removal_marks;
+            self.tasks[s.index()]
+                .as_mut()
+                .expect("survivor is live")
+                .preds
+                .retain(|t| marks[t.index()] != DOOMED);
+        }
+        for id in doomed.iter().chain(&lost_succ).chain(&lost_pred) {
+            self.removal_marks[id.index()] = 0;
+        }
+        lost_pred
     }
 
     fn alloc(&mut self, task: Task) -> TaskId {
@@ -983,7 +978,6 @@ impl TaskGraph {
                 preds: Vec::new(),
                 succs: Vec::new(),
                 seq: seq_key(0, op.index() as u64, e as u64, 0, 0),
-                island: unit_island(ctx.topo, self.num_islands, mat.units[e]),
             });
             ids.push(id);
         }
@@ -1020,7 +1014,6 @@ impl TaskGraph {
                     preds: Vec::new(),
                     succs: Vec::new(),
                     seq: seq_key(4, op.index() as u64, e as u64, 0, 0),
-                    island: unit_island(ctx.topo, self.num_islands, mat.units[e]),
                 });
                 self.add_edge_fresh(cid, rid);
                 rc_ids.push(rid);
@@ -1117,11 +1110,6 @@ impl TaskGraph {
                         preds: Vec::new(),
                         succs: Vec::new(),
                         seq,
-                        island: unit_island(
-                            ctx.topo,
-                            self.num_islands,
-                            ExecUnit::Link(channel.link),
-                        ),
                     });
                     self.add_edge_fresh(ti, c);
                     self.add_edge_fresh(c, tj);
@@ -1240,11 +1228,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 2, i as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         // The ring cannot start until every replica's
                         // gradient contribution is ready.
@@ -1269,11 +1252,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 0, r as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         for &t in &replicas[&dev] {
                             self.add_edge_fresh(t, c);
@@ -1292,11 +1270,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 1, r as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         for &p in &pushes {
                             self.add_edge_fresh(p, b);
@@ -1344,11 +1317,6 @@ impl TaskGraph {
                                     3,
                                     (sub << 10) | ri as u64,
                                 ),
-                                island: unit_island(
-                                    topo,
-                                    self.num_islands,
-                                    ExecUnit::Link(channel.link),
-                                ),
                             });
                             for &t in &replicas[&dev] {
                                 self.add_edge_fresh(t, c);
@@ -1373,11 +1341,6 @@ impl TaskGraph {
                                     shard_idx as u64,
                                     4,
                                     (sub << 10) | ri as u64,
-                                ),
-                                island: unit_island(
-                                    topo,
-                                    self.num_islands,
-                                    ExecUnit::Link(channel.link),
                                 ),
                             });
                             for &p in &pushes {
@@ -1407,11 +1370,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 0, ri as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         for &t in &replicas[&dev] {
                             self.add_edge_fresh(t, c);
@@ -1428,11 +1386,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 1, ri as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         for &p in &pushes {
                             self.add_edge_fresh(p, b);
@@ -1450,8 +1403,8 @@ impl TaskGraph {
     /// surgery behind `ChangeParamSync` proposals. Mirrors
     /// [`TaskGraph::rebuild_op`]'s doom/retain/recreate shape but scoped to
     /// the layer's sync list: compute and tensor-edge tasks are untouched,
-    /// so the returned report seeds a *local* delta repair (a sync change
-    /// confined to one island never drains the others' queues).
+    /// so the returned report cuts the timeline no earlier than the layer's
+    /// first gradient is ready.
     ///
     /// Inside an open transaction every mutation is journaled and rolls
     /// back exactly, like `rebuild_op`.
@@ -1470,44 +1423,7 @@ impl TaskGraph {
         }
         self.j_save_sync(layer);
         let doomed: Vec<TaskId> = std::mem::take(&mut self.sync_tasks[layer.index()]);
-        let doomed_set: HashSet<TaskId> = doomed.iter().copied().collect();
-        let mut succ_touched: HashSet<TaskId> = HashSet::new();
-        let mut pred_touched: HashSet<TaskId> = HashSet::new();
-        for &id in &doomed {
-            self.j_save_slot(id);
-            let task = self.tasks[id.index()]
-                .take()
-                .unwrap_or_else(|| panic!("removing dead task {id}"));
-            self.alive -= 1;
-            self.free.push(id);
-            for p in task.preds {
-                if !doomed_set.contains(&p) {
-                    succ_touched.insert(p);
-                }
-            }
-            for s in task.succs {
-                if !doomed_set.contains(&s) {
-                    pred_touched.insert(s);
-                }
-            }
-        }
-        for &p in &succ_touched {
-            self.j_save_slot(p);
-            self.tasks[p.index()]
-                .as_mut()
-                .expect("survivor is live")
-                .succs
-                .retain(|t| !doomed_set.contains(t));
-        }
-        for &s in &pred_touched {
-            self.j_save_slot(s);
-            self.tasks[s.index()]
-                .as_mut()
-                .expect("survivor is live")
-                .preds
-                .retain(|t| !doomed_set.contains(t));
-            report.pred_changed.push(s);
-        }
+        report.pred_changed = self.remove_tasks(&doomed);
         let ctx = BuildCtx {
             graph,
             topo,
@@ -1531,7 +1447,11 @@ pub struct RebuildReport {
     pub removed: Vec<TaskId>,
     /// Ids created by the rebuild.
     pub added: Vec<TaskId>,
-    /// Surviving ids that lost a predecessor (their ready time may drop).
+    /// Surviving ids that lost a predecessor (their ready time may drop),
+    /// in the order the removal first reached them. A rebuild hands a
+    /// survivor a new predecessor only in place of one it removed, so every
+    /// survivor whose predecessor set changed is listed; the resumed sweep
+    /// (`crate::sim`) asserts as much.
     pub pred_changed: Vec<TaskId>,
 }
 

@@ -671,12 +671,10 @@ fn main() -> ExitCode {
                     t.applies, t.commits, t.rollbacks
                 );
                 println!(
-                    "delta repair: {} steps ({:.1}/proposal), {} adaptive sweeps, \
-                     {} budget fallbacks",
-                    t.repair_steps,
-                    t.repair_steps as f64 / t.applies.max(1) as f64,
+                    "delta sweep: {} sweeps, {} tasks dequeued ({:.1}/proposal)",
                     t.sweeps,
-                    t.fallbacks
+                    t.dequeued,
+                    t.dequeued as f64 / t.applies.max(1) as f64
                 );
                 println!(
                     "undo journal: {} slots total ({:.1}/proposal), deepest {}",

@@ -130,7 +130,7 @@ fn search_verbose_prints_delta_telemetry() {
         "3",
         "--verbose",
     ]));
-    for marker in ["delta txn:", "delta repair:", "undo journal:"] {
+    for marker in ["delta txn:", "delta sweep:", "undo journal:"] {
         assert!(
             out.lines().any(|l| l.starts_with(marker)),
             "--verbose output missing {marker:?}:\n{out}"
