@@ -3,58 +3,56 @@
 //! algorithm (the per-proposal version of Table 4), at increasing device
 //! counts.
 //!
-//! Both sides run the shared steady-state workload of
-//! [`flexflow_bench::proposal_bench`]: evaluate a random single-op
-//! proposal from a persistent data-parallel baseline, then revert it
-//! (strategy swap-back for full; transactional journal rollback for
-//! delta). Earlier revisions let the sampled strategy drift and the delta
-//! simulator's state grow across samples, which is where the recorded
-//! delta-slower-than-full numbers came from.
+//! Both sides drive the product's own transaction API the way the search
+//! does for a rejected proposal: from a persistent data-parallel baseline
+//! on RNNLM, `Simulator::apply` a random single-op configuration, then
+//! `Simulator::rollback`. The only difference is the simulator's
+//! [`SimAlgorithm`]: `Full` builds the proposed task graph from scratch
+//! and sweeps it, `Delta` rebuilds the touched op and resumes the sweep
+//! where the change begins.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flexflow_bench::proposal_bench;
-use flexflow_core::sim::{SimConfig, Simulator};
+use flexflow_core::sim::{SimAlgorithm, SimConfig, Simulator};
+use flexflow_core::soap::{random_config, ConfigSpace};
 use flexflow_core::strategy::Strategy;
 use flexflow_core::taskgraph::TaskGraph;
 use flexflow_costmodel::MeasuredCostModel;
 use flexflow_device::clusters;
 use flexflow_opgraph::zoo;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_proposal(c: &mut Criterion) {
     let mut group = c.benchmark_group("proposal_evaluation");
     group.sample_size(20);
+    let graph = zoo::rnnlm(64, 10);
+    let cost = MeasuredCostModel::paper_default();
+    let searchable = Strategy::searchable_ops(&graph);
     for gpus in [4usize, 8, 16] {
-        let graph = proposal_bench::model();
-        let topo = proposal_bench::cluster(gpus);
-        let cost = MeasuredCostModel::paper_default();
-        let cfg = SimConfig::default();
-        let searchable = Strategy::searchable_ops(&graph);
-
-        group.bench_with_input(BenchmarkId::new("full", gpus), &gpus, |b, _| {
-            let mut rng = StdRng::seed_from_u64(1);
-            let mut s = Strategy::data_parallel(&graph, &topo);
-            b.iter(|| {
-                black_box(proposal_bench::full_once(
+        // Nodes of up to four GPUs.
+        let topo = clusters::uniform_cluster(gpus.div_ceil(4), gpus.min(4), 16.0, 4.0);
+        for (name, algorithm) in [("full", SimAlgorithm::Full), ("delta", SimAlgorithm::Delta)] {
+            group.bench_with_input(BenchmarkId::new(name, gpus), &gpus, |b, _| {
+                let mut rng = StdRng::seed_from_u64(1);
+                let s = Strategy::data_parallel(&graph, &topo);
+                let mut sim = Simulator::with_algorithm(
                     &graph,
                     &topo,
                     &cost,
-                    &cfg,
-                    &mut s,
-                    &searchable,
-                    &mut rng,
-                ))
+                    SimConfig::default(),
+                    s,
+                    algorithm,
+                );
+                b.iter(|| {
+                    let op = searchable[rng.gen_range(0..searchable.len())];
+                    let config = random_config(graph.op(op), &topo, ConfigSpace::Full, &mut rng);
+                    let c = sim.apply(op, config);
+                    sim.rollback();
+                    black_box(c)
+                });
             });
-        });
-
-        group.bench_with_input(BenchmarkId::new("delta", gpus), &gpus, |b, _| {
-            let mut rng = StdRng::seed_from_u64(1);
-            let s = Strategy::data_parallel(&graph, &topo);
-            let mut sim = Simulator::new(&graph, &topo, &cost, cfg, s);
-            b.iter(|| black_box(proposal_bench::delta_once(&mut sim, &searchable, &mut rng)));
-        });
+        }
     }
     group.finish();
 }

@@ -194,765 +194,8 @@ pub fn run_search_seeded(
     )
 }
 
-/// Shared workload for the `proposal_evaluation` microbenchmark (the
-/// criterion bench *and* the `bench_smoke` CI bin run exactly this, so the
-/// two stay comparable): one MCMC proposal evaluated from a steady
-/// data-parallel baseline on RNNLM at a given device count.
-///
-/// Both variants evaluate a random single-op reconfiguration and then
-/// *revert* it, measuring the steady-state per-proposal cost an MCMC walk
-/// pays for its (dominant) rejected proposals — rather than letting state
-/// drift and grow across samples, which made earlier delta numbers
-/// high-variance and unrepresentative.
-pub mod proposal_bench {
-    use flexflow_core::sim::{simulate_full, SimConfig, Simulator};
-    use flexflow_core::soap::{random_config, ConfigSpace};
-    use flexflow_core::strategy::Strategy;
-    use flexflow_core::taskgraph::TaskGraph;
-    use flexflow_costmodel::CostModel;
-    use flexflow_device::{clusters, Topology};
-    use flexflow_opgraph::{zoo, OpGraph, OpId};
-    use rand::rngs::StdRng;
-    use rand::Rng;
-
-    /// The benchmark model (matches EXPERIMENTS.md baselines).
-    pub fn model() -> OpGraph {
-        zoo::rnnlm(64, 10)
-    }
-
-    /// The benchmark cluster for a GPU count (nodes of up to 4 GPUs).
-    pub fn cluster(gpus: usize) -> Topology {
-        clusters::uniform_cluster(gpus.div_ceil(4), gpus.min(4), 16.0, 4.0)
-    }
-
-    /// One full-simulation proposal: swap in a random config, rebuild the
-    /// whole task graph, sweep it, and swap the old config back.
-    pub fn full_once(
-        graph: &OpGraph,
-        topo: &Topology,
-        cost: &dyn CostModel,
-        cfg: &SimConfig,
-        strategy: &mut Strategy,
-        searchable: &[OpId],
-        rng: &mut StdRng,
-    ) -> f64 {
-        let op = searchable[rng.gen_range(0..searchable.len())];
-        let config = random_config(graph.op(op), topo, ConfigSpace::Full, rng);
-        let old = strategy.replace(op, config);
-        let tg = TaskGraph::build(graph, topo, strategy, cost, cfg);
-        let c = simulate_full(&tg).makespan_us();
-        strategy.replace(op, old);
-        c
-    }
-
-    /// One delta-simulation proposal: transactional apply (single-op
-    /// rebuild + a sweep resumed where the change begins) followed by
-    /// rollback.
-    pub fn delta_once(sim: &mut Simulator, searchable: &[OpId], rng: &mut StdRng) -> f64 {
-        let op = searchable[rng.gen_range(0..searchable.len())];
-        let config = random_config(sim.graph().op(op), sim.topology(), ConfigSpace::Full, rng);
-        let c = sim.apply(op, config);
-        sim.rollback();
-        c
-    }
-}
-
-/// Workload + measurement helpers for the `search_throughput` benchmark
-/// (the multi-chain scaling half of `bench_smoke`): one MCMC search over
-/// RNNLM on a 4-GPU node, driven by [`flexflow_core::SearchRequest`] at a
-/// given chain count. Two numbers per chain count:
-///
-/// - **proposals/sec**: a fixed total evaluation budget split across the
-///   chains, wall-clock measured — the raw parallel-evaluation rate;
-/// - **time-to-target**: wall-clock until the shared best cost reaches a
-///   reference target (the early-cutoff path), the paper-relevant
-///   "time to best strategy" metric.
-///
-/// Both scale with the host's core count; the artifact records
-/// `available_parallelism` so readers (and the `--check` gate) can judge
-/// the numbers in context.
-pub mod search_throughput {
-    use flexflow_core::optimizer::{Budget, SearchRequest};
-    use flexflow_core::strategy::Strategy;
-    use flexflow_costmodel::MeasuredCostModel;
-    use flexflow_device::{clusters, Topology};
-    use flexflow_opgraph::{zoo, OpGraph};
-    use serde::{Deserialize, Serialize};
-
-    /// The benchmark model (matches the `proposal_evaluation` workload).
-    pub fn model() -> OpGraph {
-        zoo::rnnlm(64, 10)
-    }
-
-    /// The benchmark cluster: one node of four GPUs.
-    pub fn cluster() -> Topology {
-        clusters::uniform_cluster(1, 4, 16.0, 4.0)
-    }
-
-    /// One measured chain-count cell.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    pub struct Measurement {
-        /// Chain count of this cell.
-        pub chains: usize,
-        /// Proposals actually evaluated by the throughput run.
-        pub evals: u64,
-        /// Wall-clock seconds of the throughput run.
-        pub elapsed_s: f64,
-        /// `evals / elapsed_s`.
-        pub proposals_per_s: f64,
-        /// Best cost the throughput run found (µs/iteration).
-        pub best_cost_us: f64,
-        /// Wall-clock seconds for the time-to-target run to stop.
-        pub time_to_target_s: f64,
-        /// Whether the time-to-target run actually reached the target
-        /// (false means it exhausted its budget first).
-        pub reached_target: bool,
-    }
-
-    /// The reference target cost: 99% of the improvement gap between the
-    /// data-parallel start and the best cost a single reference chain
-    /// reaches within `evals` proposals (i.e. `best + 0.01 * gap`).
-    /// Chasing the gap (rather than a slack factor over the best) keeps
-    /// the target a real search task — a few percent of slack over a
-    /// near-data-parallel optimum would be satisfied by the starting
-    /// point itself.
-    pub fn reference_target(evals: u64, seed: u64) -> f64 {
-        let graph = model();
-        let topo = cluster();
-        let cost = MeasuredCostModel::paper_default();
-        let dp = Strategy::data_parallel(&graph, &topo);
-        let dp_cost = super::cost_of(&graph, &topo, &cost, &dp);
-        let r = SearchRequest::new(seed).chains(1).exchange_every(0).run(
-            &graph,
-            &topo,
-            &cost,
-            &[dp],
-            Budget {
-                max_evals: evals,
-                max_seconds: f64::INFINITY,
-                patience_fraction: 1.0,
-            },
-            flexflow_core::SimConfig::default(),
-        );
-        r.best_cost_us + 0.01 * (dp_cost - r.best_cost_us).max(0.0)
-    }
-
-    /// Measures one chain count: a throughput run over `total_evals`
-    /// proposals (split across the chains) and a time-to-target run
-    /// cut off at `target_us`.
-    pub fn measure(chains: usize, total_evals: u64, seed: u64, target_us: f64) -> Measurement {
-        let graph = model();
-        let topo = cluster();
-        let cost = MeasuredCostModel::paper_default();
-        let cfg = flexflow_core::SimConfig::default();
-        let dp = Strategy::data_parallel(&graph, &topo);
-
-        let throughput_run = SearchRequest::new(seed)
-            .chains(chains)
-            .exchange_every(64)
-            .run(
-                &graph,
-                &topo,
-                &cost,
-                std::slice::from_ref(&dp),
-                Budget {
-                    max_evals: total_evals,
-                    max_seconds: f64::INFINITY,
-                    patience_fraction: 1.0,
-                },
-                cfg,
-            );
-
-        let target_run = SearchRequest::new(seed)
-            .chains(chains)
-            .exchange_every(64)
-            .target_cost_us(target_us)
-            .run(
-                &graph,
-                &topo,
-                &cost,
-                &[dp],
-                Budget {
-                    // Generous cap so slow machines still terminate quickly
-                    // once the target is hit; 8x the throughput budget bounds
-                    // the worst case.
-                    max_evals: total_evals * 8,
-                    max_seconds: f64::INFINITY,
-                    patience_fraction: 1.0,
-                },
-                cfg,
-            );
-
-        Measurement {
-            chains,
-            evals: throughput_run.evals,
-            elapsed_s: throughput_run.elapsed_seconds,
-            proposals_per_s: throughput_run.evals as f64 / throughput_run.elapsed_seconds.max(1e-9),
-            best_cost_us: throughput_run.best_cost_us,
-            time_to_target_s: target_run.elapsed_seconds,
-            reached_target: target_run.best_cost_us <= target_us,
-        }
-    }
-}
-
-/// Workload + measurement helpers for the `serve_throughput` benchmark
-/// (the strategy-serving half of `bench_smoke`, the PR 4 trajectory).
-/// Two questions, two measurements:
-///
-/// - **hit throughput**: requests/sec the daemon answers for its
-///   steady-state traffic — identical `(model, cluster, budget)` requests
-///   served from the content-addressed cache with *zero* simulator
-///   evaluations (the responses' `evals` fields are summed and gated on
-///   exactly 0);
-/// - **warm vs cold evals-to-target**: on rnnlm@4GPU, how many simulator
-///   evaluations a search needs to reach the cold search's best cost when
-///   seeded from a cached half-budget strategy instead of data
-///   parallelism. The target uses the PR 3 `reference_target` convention
-///   (best + 1% of the improvement gap over data parallelism) so
-///   "reaches the cold best" is a closed predicate on a continuous cost.
-pub mod serve_throughput {
-    use flexflow_core::optimizer::{Budget, SearchRequest};
-    use flexflow_core::strategy::Strategy;
-    use flexflow_costmodel::MeasuredCostModel;
-    use flexflow_server::server::response_field;
-    use flexflow_server::{Server, ServerConfig};
-    use serde::Serialize;
-    use std::time::Instant;
-
-    /// Cache-hit serving throughput.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct HitThroughput {
-        /// Hit requests timed (after one cold priming request).
-        pub requests: u64,
-        /// Wall-clock seconds for the hit requests.
-        pub elapsed_s: f64,
-        /// `requests / elapsed_s`.
-        pub requests_per_s: f64,
-        /// Simulator evaluations across all hit responses (gated == 0).
-        pub hit_evals_total: u64,
-    }
-
-    /// Measures hit serving throughput on an in-process server: one cold
-    /// request primes the cache, then `requests` identical requests are
-    /// timed end-to-end through the request handler (parse → lookup →
-    /// validate → respond), the exact per-line path of `--oneshot` and
-    /// socket workers.
-    pub fn hit_throughput(requests: u64) -> HitThroughput {
-        let server = Server::new(ServerConfig::default());
-        let line = r#"{"model":"lenet","gpus":2,"evals":60,"seed":11}"#;
-        let prime = server.handle_line(line);
-        assert!(
-            prime.contains(r#""cache":"cold""#),
-            "priming request must be cold: {prime}"
-        );
-        let mut hit_evals_total = 0u64;
-        let t0 = Instant::now();
-        for _ in 0..requests {
-            let resp = server.handle_line(line);
-            debug_assert!(resp.contains(r#""cache":"hit""#));
-            hit_evals_total += response_field(&resp, "evals")
-                .and_then(|v| v.as_u64())
-                .expect("hit response carries evals");
-        }
-        let elapsed_s = t0.elapsed().as_secs_f64();
-        HitThroughput {
-            requests,
-            elapsed_s,
-            requests_per_s: requests as f64 / elapsed_s.max(1e-9),
-            hit_evals_total,
-        }
-    }
-
-    /// Warm-vs-cold evals-to-target on rnnlm@4GPU.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct WarmVsCold {
-        /// Cold-search evaluation budget (the warm seed uses half).
-        pub evals: u64,
-        /// Data-parallel starting cost (µs/iter).
-        pub dp_cost_us: f64,
-        /// Best cost the cold reference search reached (µs/iter).
-        pub cold_best_us: f64,
-        /// The chased target: `cold_best + 1%` of the improvement gap.
-        pub target_cost_us: f64,
-        /// Evaluations the cold search spends to reach the target.
-        pub cold_evals_to_target: u64,
-        /// Cost of the cached half-budget warm seed (µs/iter).
-        pub warm_seed_cost_us: f64,
-        /// Evaluations the warm-started search spends to reach the target.
-        pub warm_evals_to_target: u64,
-        /// `warm_evals_to_target / cold_evals_to_target` (gated <= 0.5).
-        pub warm_ratio: f64,
-    }
-
-    /// Runs the warm-vs-cold comparison. All runs use a single chain, so
-    /// eval counts are schedule-independent and the numbers reproduce.
-    pub fn warm_vs_cold(evals: u64, seed: u64) -> WarmVsCold {
-        let graph = super::search_throughput::model();
-        let topo = super::search_throughput::cluster();
-        let cost = MeasuredCostModel::paper_default();
-        let cfg = flexflow_core::SimConfig::default();
-        let dp = Strategy::data_parallel(&graph, &topo);
-        let dp_cost_us = super::cost_of(&graph, &topo, &cost, &dp);
-        let full_budget = Budget {
-            max_evals: evals,
-            max_seconds: f64::INFINITY,
-            patience_fraction: 1.0,
-        };
-        let chase_budget = Budget {
-            max_evals: evals * 8,
-            max_seconds: f64::INFINITY,
-            patience_fraction: 1.0,
-        };
-
-        // Reference cold search: defines what "as good as cold" means.
-        let cold = SearchRequest::new(seed).chains(1).run(
-            &graph,
-            &topo,
-            &cost,
-            std::slice::from_ref(&dp),
-            full_budget,
-            cfg,
-        );
-        let target_cost_us = cold.best_cost_us + 0.01 * (dp_cost_us - cold.best_cost_us).max(0.0);
-
-        // Cold evals-to-target: same seed, early-cutoff at the target.
-        let cold_chase = SearchRequest::new(seed)
-            .chains(1)
-            .target_cost_us(target_cost_us)
-            .run(
-                &graph,
-                &topo,
-                &cost,
-                std::slice::from_ref(&dp),
-                chase_budget,
-                cfg,
-            );
-
-        // The "cached" seed: the same request served at half the budget —
-        // what a smaller-budget-class cache entry holds.
-        let warm_seed = SearchRequest::new(seed).chains(1).run(
-            &graph,
-            &topo,
-            &cost,
-            std::slice::from_ref(&dp),
-            Budget {
-                max_evals: evals / 2,
-                ..full_budget
-            },
-            cfg,
-        );
-
-        // Warm chase: a *different* seed (no replaying the cold chain's
-        // proposal stream) starting from the cached strategy.
-        let warm_chase = SearchRequest::new(seed ^ 0x9E37_79B9)
-            .chains(1)
-            .target_cost_us(target_cost_us)
-            .run_warm(
-                &graph,
-                &topo,
-                &cost,
-                warm_seed.best.clone(),
-                chase_budget,
-                cfg,
-            );
-
-        WarmVsCold {
-            evals,
-            dp_cost_us,
-            cold_best_us: cold.best_cost_us,
-            target_cost_us,
-            cold_evals_to_target: cold_chase.evals,
-            warm_seed_cost_us: warm_seed.best_cost_us,
-            warm_evals_to_target: warm_chase.evals,
-            warm_ratio: warm_chase.evals as f64 / cold_chase.evals.max(1) as f64,
-        }
-    }
-
-    /// Socket-level serving comparison: single-connection hit throughput
-    /// over the PR 4 Unix-socket path vs aggregate hit throughput from
-    /// concurrent clients through the nonblocking TCP front end. Both
-    /// sides run in the same process with the same worker count and the
-    /// same total request volume, so the ratio is host-independent.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct ConcurrentServe {
-        /// Requests pumped through the single Unix-socket connection.
-        pub unix_requests: u64,
-        /// Wall-clock seconds for the Unix-socket side.
-        pub unix_elapsed_s: f64,
-        /// Single-connection Unix-socket hits/sec (the PR 4 number).
-        pub unix_single_rps: f64,
-        /// Concurrent TCP clients.
-        pub tcp_clients: u64,
-        /// Hit requests per TCP client.
-        pub tcp_requests_per_client: u64,
-        /// Requests answered `ok` across every client.
-        pub tcp_ok: u64,
-        /// In-band `busy` backpressure answers (not counted as served).
-        pub tcp_busy: u64,
-        /// Wall-clock seconds from first client start to last client done.
-        pub tcp_elapsed_s: f64,
-        /// Aggregate served hits/sec across all TCP clients.
-        pub tcp_concurrent_rps: f64,
-        /// `tcp_concurrent_rps / unix_single_rps` (gated >= 1.0).
-        pub concurrency_speedup: f64,
-    }
-
-    /// Primes a connection's server with one cold search, then pumps
-    /// `requests` identical hit requests through it, returning the
-    /// elapsed seconds for the hit phase only.
-    fn pump(
-        mut reader: impl std::io::BufRead,
-        mut writer: impl std::io::Write,
-        line: &str,
-        requests: u64,
-    ) -> (f64, u64, u64) {
-        let mut resp = String::new();
-        let mut ok = 0u64;
-        let mut busy = 0u64;
-        // One write per request: two small writes (payload then newline)
-        // ping-pong badly with Nagle + delayed ACK on TCP loopback.
-        let msg = format!("{line}\n");
-        let t0 = Instant::now();
-        for _ in 0..requests {
-            writer.write_all(msg.as_bytes()).expect("write request");
-            resp.clear();
-            reader.read_line(&mut resp).expect("read response");
-            assert!(!resp.is_empty(), "server closed the connection");
-            if resp.contains(r#""status":"busy""#) {
-                busy += 1;
-            } else {
-                assert!(resp.contains(r#""status":"ok""#), "{resp}");
-                ok += 1;
-            }
-        }
-        (t0.elapsed().as_secs_f64(), ok, busy)
-    }
-
-    /// Measures the single-connection Unix-socket side.
-    #[cfg(unix)]
-    fn unix_single(line: &str, requests: u64) -> (f64, u64) {
-        use std::os::unix::net::UnixStream;
-        let server = std::sync::Arc::new(Server::new(ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        }));
-        let dir = std::env::temp_dir().join(format!("ff-bench-sock-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let sock = dir.join("serve.sock");
-        let elapsed = std::thread::scope(|s| {
-            let daemon = {
-                let server = std::sync::Arc::clone(&server);
-                let sock = sock.clone();
-                s.spawn(move || server.run_socket(&sock))
-            };
-            for _ in 0..1000 {
-                if sock.exists() {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            let stream = UnixStream::connect(&sock).expect("connect unix socket");
-            let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-            let mut writer = stream;
-            // Prime the cache (cold), then time the hit traffic.
-            use std::io::{BufRead, Write};
-            writeln!(writer, "{line}").expect("prime");
-            let mut resp = String::new();
-            reader.read_line(&mut resp).expect("prime response");
-            assert!(
-                resp.contains(r#""cache":"cold""#),
-                "prime must be cold: {resp}"
-            );
-            let (elapsed, ok, busy) = pump(&mut reader, &mut writer, line, requests);
-            assert_eq!(busy, 0, "a single connection never overflows the queue");
-            assert_eq!(ok, requests);
-            writeln!(writer, r#"{{"cmd":"shutdown"}}"#).expect("shutdown");
-            resp.clear();
-            reader.read_line(&mut resp).expect("shutdown response");
-            daemon.join().unwrap().expect("socket loop exits cleanly");
-            elapsed
-        });
-        std::fs::remove_dir_all(&dir).ok();
-        (elapsed, requests)
-    }
-
-    /// Non-Unix fallback: the same single-connection measurement over a
-    /// loopback TCP connection (the closest available stand-in).
-    #[cfg(not(unix))]
-    fn unix_single(line: &str, requests: u64) -> (f64, u64) {
-        let server = std::sync::Arc::new(Server::new(ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        }));
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let elapsed = std::thread::scope(|s| {
-            let daemon = {
-                let server = std::sync::Arc::clone(&server);
-                s.spawn(move || server.serve_listener(listener))
-            };
-            let stream = std::net::TcpStream::connect(addr).expect("connect");
-            let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-            let mut writer = stream;
-            use std::io::{BufRead, Write};
-            writeln!(writer, "{line}").expect("prime");
-            let mut resp = String::new();
-            reader.read_line(&mut resp).expect("prime response");
-            let (elapsed, _, _) = pump(&mut reader, &mut writer, line, requests);
-            writeln!(writer, r#"{{"cmd":"shutdown"}}"#).expect("shutdown");
-            resp.clear();
-            reader.read_line(&mut resp).ok();
-            daemon.join().unwrap().expect("tcp loop exits cleanly");
-            elapsed
-        });
-        (elapsed, requests)
-    }
-
-    /// Runs the comparison: `clients × requests_per_client` hit requests
-    /// concurrently over TCP vs the same total volume over one Unix
-    /// socket connection.
-    pub fn concurrent_serve(clients: usize, requests_per_client: u64) -> ConcurrentServe {
-        let line = r#"{"model":"lenet","gpus":2,"evals":60,"seed":11}"#;
-        let total = clients as u64 * requests_per_client;
-        let (unix_elapsed_s, unix_requests) = unix_single(line, total);
-
-        // Concurrent TCP side: fresh server, same workers, every client
-        // pipelines hits against the primed cache.
-        let server = std::sync::Arc::new(Server::new(ServerConfig {
-            workers: 2,
-            max_connections: clients + 4,
-            ..ServerConfig::default()
-        }));
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let (tcp_elapsed_s, tcp_ok, tcp_busy) = std::thread::scope(|s| {
-            let daemon = {
-                let server = std::sync::Arc::clone(&server);
-                s.spawn(move || server.serve_listener(listener))
-            };
-            // Prime once so every timed request is a hit.
-            {
-                let stream = std::net::TcpStream::connect(&addr).expect("connect");
-                stream.set_nodelay(true).expect("nodelay");
-                let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-                let mut writer = stream;
-                use std::io::{BufRead, Write};
-                writeln!(writer, "{line}").expect("prime");
-                let mut resp = String::new();
-                reader.read_line(&mut resp).expect("prime response");
-                assert!(
-                    resp.contains(r#""cache":"cold""#),
-                    "prime must be cold: {resp}"
-                );
-            }
-            let t0 = Instant::now();
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    let addr = addr.clone();
-                    s.spawn(move || {
-                        let stream = std::net::TcpStream::connect(&addr).expect("connect");
-                        stream.set_nodelay(true).expect("nodelay");
-                        let reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-                        pump(reader, stream, line, requests_per_client)
-                    })
-                })
-                .collect();
-            let mut ok = 0u64;
-            let mut busy = 0u64;
-            for h in handles {
-                let (_, client_ok, client_busy) = h.join().expect("client thread");
-                ok += client_ok;
-                busy += client_busy;
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            // Shut the front end down cleanly.
-            let stream = std::net::TcpStream::connect(&addr).expect("connect");
-            let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-            let mut writer = stream;
-            use std::io::{BufRead, Write};
-            writeln!(writer, r#"{{"cmd":"shutdown"}}"#).expect("shutdown");
-            let mut resp = String::new();
-            reader.read_line(&mut resp).ok();
-            daemon.join().unwrap().expect("tcp loop exits cleanly");
-            (elapsed, ok, busy)
-        });
-
-        let unix_single_rps = unix_requests as f64 / unix_elapsed_s.max(1e-9);
-        let tcp_concurrent_rps = tcp_ok as f64 / tcp_elapsed_s.max(1e-9);
-        ConcurrentServe {
-            unix_requests,
-            unix_elapsed_s,
-            unix_single_rps,
-            tcp_clients: clients as u64,
-            tcp_requests_per_client: requests_per_client,
-            tcp_ok,
-            tcp_busy,
-            tcp_elapsed_s,
-            tcp_concurrent_rps,
-            concurrency_speedup: tcp_concurrent_rps / unix_single_rps.max(1e-9),
-        }
-    }
-
-    /// LRU-bound churn: the sharded store is hammered with inserts far
-    /// past its entry bound, and the bound must hold after every single
-    /// insert (`bound_violations` gated == 0) while eviction does real
-    /// work (`evictions` gated > 0).
-    #[derive(Debug, Clone, Serialize)]
-    pub struct CacheChurn {
-        /// Insert attempts.
-        pub inserts: u64,
-        /// Inserts the store accepted (lower-cost-wins filter).
-        pub accepted: u64,
-        /// Configured entry bound.
-        pub max_entries: usize,
-        /// Largest entry count observed after any insert.
-        pub peak_entries: usize,
-        /// Entries alive at the end.
-        pub final_entries: usize,
-        /// LRU evictions across all shards.
-        pub evictions: u64,
-        /// Inserts after which `len() > max_entries` (gated == 0).
-        pub bound_violations: u64,
-    }
-
-    /// Churns `inserts` entries with cycling signatures through a store
-    /// bounded at `max_entries`.
-    pub fn cache_churn(inserts: u64, max_entries: usize) -> CacheChurn {
-        use flexflow_core::strategy_io::{export_record, signature_hex};
-        use flexflow_server::{CacheBounds, CacheEntry, ShardedStore, StrategyStore};
-        let graph = flexflow_opgraph::zoo::lenet(64);
-        let topo = flexflow_device::clusters::uniform_cluster(1, 2, 16.0, 4.0);
-        let dp = Strategy::data_parallel(&graph, &topo);
-        let store = ShardedStore::in_memory(8, CacheBounds::entries(max_entries));
-        let mut accepted = 0u64;
-        let mut peak = 0usize;
-        let mut violations = 0u64;
-        for i in 0..inserts {
-            // Descending costs so revisited addresses replace in place;
-            // cycling signatures force steady eviction pressure.
-            let mut record = export_record(&graph, &topo, &dp, 1e9 - i as f64, 50);
-            record.graph_sig = signature_hex(i % 97);
-            record.topo_sig = signature_hex(i % 13);
-            let entry = CacheEntry {
-                budget_class: (i % 7 + 1) as u32,
-                model: "lenet".into(),
-                gpus: 2,
-                cluster: "p100".into(),
-                record,
-            };
-            if store.insert(entry) {
-                accepted += 1;
-            }
-            let len = store.len();
-            peak = peak.max(len);
-            if len > max_entries {
-                violations += 1;
-            }
-        }
-        let evictions = store.shard_stats().iter().map(|s| s.evictions).sum();
-        CacheChurn {
-            inserts,
-            accepted,
-            max_entries,
-            peak_entries: peak,
-            final_entries: store.len(),
-            evictions,
-            bound_violations: violations,
-        }
-    }
-
-    /// What the polish daemon buys: re-searching the hottest cache entry
-    /// at escalating budgets must never publish a worse strategy and is
-    /// expected to strictly improve an under-searched entry.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct PolishGain {
-        /// Evaluation budget of the original (under-searched) request.
-        pub base_evals: u64,
-        /// Polish rounds executed.
-        pub rounds_run: u64,
-        /// Upgrades published (gated >= 1).
-        pub published: u64,
-        /// Cached cost before any polish (µs/iter).
-        pub cost_before_us: f64,
-        /// Cached cost after polish (µs/iter, gated <= before).
-        pub cost_after_us: f64,
-        /// `1 - after/before` as a percentage.
-        pub improvement_pct: f64,
-        /// Simulator evaluations polish spent in total.
-        pub polish_evals: u64,
-    }
-
-    /// Primes a server with one under-searched entry, heats it, and runs
-    /// the polish loop by hand (exactly what the daemon thread does
-    /// between sleeps).
-    pub fn polish_gain(base_evals: u64, seed: u64, max_rounds: u32) -> PolishGain {
-        use flexflow_server::polish::{self, PolishConfig, PolishOutcome};
-        let server = Server::new(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
-        let line = format!(r#"{{"model":"rnnlm","gpus":4,"evals":{base_evals},"seed":{seed}}}"#);
-        let cold = server.handle_line(&line);
-        assert!(cold.contains(r#""cache":"cold""#), "{cold}");
-        // A hit heats the entry so `hottest()` proposes it.
-        let hit = server.handle_line(&line);
-        assert!(hit.contains(r#""cache":"hit""#), "{hit}");
-        let cost_at = |server: &Server| {
-            server
-                .store()
-                .hottest()
-                .expect("entry exists")
-                .entry
-                .record
-                .cost_us
-        };
-        let cost_before_us = cost_at(&server);
-        let cfg = PolishConfig {
-            max_rounds,
-            max_evals: base_evals * 32,
-            ..PolishConfig::default()
-        };
-        let mut rounds_run = 0u64;
-        let mut published = 0u64;
-        for _ in 0..max_rounds {
-            match polish::step(&server, &cfg) {
-                PolishOutcome::Published {
-                    cost_before,
-                    cost_after,
-                    ..
-                } => {
-                    assert!(
-                        cost_after <= cost_before,
-                        "polish published a worse strategy"
-                    );
-                    published += 1;
-                }
-                PolishOutcome::NoImprovement { .. } => {}
-                PolishOutcome::Idle => break,
-                other => panic!("unexpected polish outcome: {other:?}"),
-            }
-            rounds_run += 1;
-        }
-        let cost_after_us = cost_at(&server);
-        PolishGain {
-            base_evals,
-            rounds_run,
-            published,
-            cost_before_us,
-            cost_after_us,
-            improvement_pct: (1.0 - cost_after_us / cost_before_us.max(1e-9)) * 100.0,
-            polish_evals: server
-                .stats()
-                .polish_evals
-                .load(std::sync::atomic::Ordering::Relaxed),
-        }
-    }
-}
-
-/// Workload + measurement helpers for the `pipeline` benchmark (the
-/// microbatch-parallelism half of `bench_smoke`, the PR 5 trajectory):
-/// does adding the pipeline dimension to the search space pay on deep
-/// sequential models?
+/// The `pipeline_table` comparison: does adding the pipeline dimension
+/// to the search space pay on deep sequential models?
 ///
 /// The comparison is deterministic (single-chain searches, evaluation
 /// budgets, no wall-clock cutoffs): a whole-batch reference search
@@ -963,9 +206,7 @@ pub mod serve_throughput {
 /// than its seed), and greedy acceptance keeps the polish anchored to the
 /// seed's basin — a hot Metropolis walk diffuses away from the seed
 /// before the microbatch move lands, which is exactly the failure mode
-/// this phase must not have. The `--check` gate demands the strict
-/// improvement that inter-op pipelining actually delivers on
-/// stage-friendly models.
+/// this phase must not have.
 pub mod pipeline_bench {
     use flexflow_core::optimizer::{AcceptanceRule, Budget, SearchRequest};
     use flexflow_core::strategy::Strategy;
@@ -1030,270 +271,19 @@ pub mod pipeline_bench {
             cost_ratio: pipelined.best_cost_us / baseline.best_cost_us,
         }
     }
-
-    /// The `bench_smoke` cell: rnnlm (batch 64, unroll 10 — the same
-    /// scaled model every other smoke workload uses) on the paper's
-    /// 4-GPU P100 node. The paper topology matters: its intra-node
-    /// links put the whole-batch optimum in the staged (model-parallel)
-    /// basin, the regime inter-op pipelining accelerates.
-    pub fn rnnlm_4gpu(evals: u64, seed: u64) -> PipelineComparison {
-        compare(
-            "rnnlm",
-            &super::proposal_bench::model(),
-            &super::paper_cluster(flexflow_device::DeviceKind::P100, 4),
-            evals,
-            seed,
-        )
-    }
 }
 
-/// Workload + measurement helpers for the `sim_scaling` benchmark (the
-/// hierarchical-timeline half of `bench_smoke`, the PR 6 trajectory):
-/// does delta evaluation stay affordable as the cluster doubles from 16
-/// to 64 to 256 devices?
-///
-/// Each cell measures the steady-state rejected-proposal cost (apply +
-/// rollback, the [`proposal_bench::delta_once`] convention) on gpt_small
-/// over a hierarchical cluster of 4-GPU P100 NVLink islands joined by an
-/// InfiniBand spine. Proposal degrees are capped at 16 tasks — the same
-/// bound [`run_contenders`] and the search's random candidates apply on
-/// big clusters — so the cells differ only in cluster size. The quantity
-/// the `--check` gate bounds is the median's growth per device
-/// *doubling* (< 2.2x). A proposal is evaluated by a sweep resumed at the
-/// first instant it can influence, so its cost is linear in the tasks
-/// from there on; the timeline population doubles with the device count
-/// at fixed per-op degree, and the gate fails anything that grows faster
-/// than that.
-pub mod sim_scaling {
-    use flexflow_core::sim::{SimConfig, Simulator};
-    use flexflow_core::soap::{random_config_capped, ConfigSpace};
-    use flexflow_core::strategy::Strategy;
-    use flexflow_costmodel::MeasuredCostModel;
-    use flexflow_device::{clusters, DeviceKind, Topology};
-    use flexflow_opgraph::{zoo, OpGraph, OpId};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use serde::{Deserialize, Serialize};
-    use std::time::Instant;
-
-    /// The device counts of the scaling sweep (two doublings apart).
-    pub const DEVICE_COUNTS: [usize; 3] = [16, 64, 256];
-
-    /// Proposal degree cap (max tasks per op), matching the search's own
-    /// capped candidates so cells differ only in cluster size.
-    pub const DEGREE_CAP: u64 = 16;
-
-    /// The benchmark model: the transformer workload the 64+-device
-    /// clusters exist for.
-    pub fn model() -> OpGraph {
-        zoo::gpt_small(64)
-    }
-
-    /// The benchmark cluster: 4-GPU P100 NVLink islands on an IB spine.
-    pub fn cluster(gpus: usize) -> Topology {
-        clusters::hierarchical_cluster(DeviceKind::P100, gpus / 4, 4)
-    }
-
-    /// One measured device-count cell.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    pub struct ScalingCell {
-        /// Devices of the cluster.
-        pub gpus: usize,
-        /// NVLink islands of the cluster.
-        pub islands: usize,
-        /// Median apply+rollback time of one capped proposal (µs).
-        pub delta_median_us: f64,
-        /// Fastest sample (µs).
-        pub delta_min_us: f64,
-        /// Slowest sample (µs).
-        pub delta_max_us: f64,
-        /// Timed samples behind the median.
-        pub samples: usize,
-    }
-
-    /// One capped delta proposal evaluated and reverted — the
-    /// steady-state rejected-proposal cost of an MCMC walk.
-    pub fn delta_once(sim: &mut Simulator, searchable: &[OpId], rng: &mut StdRng) -> f64 {
-        let op = searchable[rng.gen_range(0..searchable.len())];
-        let config = random_config_capped(
-            sim.graph().op(op),
-            sim.topology(),
-            ConfigSpace::Full,
-            DEGREE_CAP,
-            rng,
-        );
-        let c = sim.apply(op, config);
-        sim.rollback();
-        c
-    }
-
-    /// Measures one cell: `samples` capped proposals (after one warm-up)
-    /// from a fixed random capped strategy.
-    pub fn measure(gpus: usize, samples: usize, seed: u64) -> ScalingCell {
-        let graph = model();
-        let topo = cluster(gpus);
-        let cost = MeasuredCostModel::paper_default();
-        let searchable = Strategy::searchable_ops(&graph);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = Strategy::random_with_max_degree(
-            &graph,
-            &topo,
-            ConfigSpace::Full,
-            DEGREE_CAP,
-            &mut rng,
-        );
-        let mut sim = Simulator::new(&graph, &topo, &cost, SimConfig::default(), s);
-        let islands = topo.num_islands();
-        let _ = delta_once(&mut sim, &searchable, &mut rng); // warm-up
-        let mut times: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let t0 = Instant::now();
-            let c = delta_once(&mut sim, &searchable, &mut rng);
-            assert!(c.is_finite() && c > 0.0, "proposal cost must be positive");
-            times.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        times.sort_by(f64::total_cmp);
-        ScalingCell {
-            gpus,
-            islands,
-            delta_median_us: times[times.len() / 2],
-            delta_min_us: times[0],
-            delta_max_us: times[times.len() - 1],
-            samples,
-        }
-    }
-
-    /// Median-cost growth per device doubling between two cells:
-    /// `(median_b / median_a) ^ (1 / log2(gpus_b / gpus_a))`.
-    pub fn growth_per_doubling(a: &ScalingCell, b: &ScalingCell) -> f64 {
-        let doublings = (b.gpus as f64 / a.gpus as f64).log2();
-        (b.delta_median_us / a.delta_median_us).powf(1.0 / doublings)
-    }
-}
-
-/// Workload + measurement helpers for the `param_sync` benchmark (the
-/// sharded-update half of `bench_smoke`, the PR 8 trajectory): does the
-/// searchable parameter-sync axis pay on transformer-scale data
-/// parallelism?
-///
-/// The comparison is deterministic, mirroring [`pipeline_bench`]: a
-/// sync-axis-off reference search defines the best all-reduce cost, then
-/// the reference winner is rebuilt with ZeRO-1 sharding on every layer
-/// (a pure mode change — operator placement untouched) and a **greedy
-/// sync-axis polish** warm-starts from whichever of the two simulates
-/// faster. Warm-starting makes "synced ≤ all-reduce" structural; the
-/// `--check` gate demands the strict improvement that spreading the
-/// per-shard update over all replica-owned sub-shards delivers when the
-/// legacy parameter-server star serializes `2(R-1)·B` through one root.
-/// Optimizer-state placement is reported alongside cost: ZeRO-1 must cut
-/// the per-device Adam-state peak at least in half versus replicated
-/// all-reduce state.
+/// The `param_sync_table` sweep: data parallelism with one sync mode
+/// forced on every layer, on hierarchical clusters of 4-GPU P100 NVLink
+/// islands joined by an InfiniBand spine.
 pub mod param_sync_bench {
     use flexflow_core::memory;
-    use flexflow_core::optimizer::{AcceptanceRule, Budget, SearchRequest};
     use flexflow_core::soap::ParamSync;
     use flexflow_core::strategy::Strategy;
     use flexflow_costmodel::MeasuredCostModel;
-    use flexflow_device::Topology;
-    use flexflow_opgraph::{zoo, OpGraph};
+    use flexflow_device::{clusters, DeviceKind};
+    use flexflow_opgraph::zoo;
     use serde::Serialize;
-
-    /// Outcome of one synced-vs-all-reduce comparison.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct SyncComparison {
-        /// Model the comparison ran on.
-        pub model: String,
-        /// Devices of the cluster.
-        pub gpus: usize,
-        /// Evaluation budget of each search.
-        pub evals: u64,
-        /// Best cost of the sync-axis-off (all-reduce-only) reference.
-        pub baseline_best_us: f64,
-        /// Cost of the reference winner rebuilt with ZeRO-1 everywhere.
-        pub zero1_seed_us: f64,
-        /// Best cost of the sync-axis polish.
-        pub synced_best_us: f64,
-        /// `synced / baseline` (< 1 means the sync axis won).
-        pub cost_ratio: f64,
-        /// Per-device optimizer-state peak of the reference winner (bytes).
-        pub baseline_opt_state_peak_bytes: u64,
-        /// Per-device optimizer-state peak of the synced winner (bytes).
-        pub synced_opt_state_peak_bytes: u64,
-        /// Whether the synced winner departs from all-reduce anywhere.
-        pub custom_sync: bool,
-    }
-
-    /// Runs the comparison on one `(graph, topo)` workload.
-    pub fn compare(
-        model: &str,
-        graph: &OpGraph,
-        topo: &Topology,
-        evals: u64,
-        seed: u64,
-    ) -> SyncComparison {
-        let cost = MeasuredCostModel::paper_default();
-        let cfg = flexflow_core::SimConfig::default();
-        let budget = Budget {
-            max_evals: evals,
-            max_seconds: f64::INFINITY,
-            patience_fraction: 1.0,
-        };
-        let initials = [
-            Strategy::data_parallel(graph, topo),
-            flexflow_baselines::expert::strategy(graph, topo),
-        ];
-        let baseline = SearchRequest::new(seed)
-            .chains(1)
-            .run(graph, topo, &cost, &initials, budget, cfg);
-        let gpus = topo.num_devices();
-        // The structural seed: the same placement, every layer's update
-        // sharded across its replicas.
-        let zero1 = baseline
-            .best
-            .clone()
-            .with_param_sync_everywhere(ParamSync::ShardedZero1 {
-                shards: gpus as u64,
-            });
-        let zero1_seed_us = super::cost_of(graph, topo, &cost, &zero1);
-        let warm = if zero1_seed_us < baseline.best_cost_us {
-            zero1
-        } else {
-            baseline.best.clone()
-        };
-        let polished = SearchRequest::new(seed ^ 0x5EED)
-            .chains(1)
-            .param_sync(true)
-            .acceptance(AcceptanceRule::Greedy)
-            .run_warm(graph, topo, &cost, warm, budget, cfg);
-        let fp_base = memory::footprint(graph, topo, &baseline.best);
-        let fp_sync = memory::footprint(graph, topo, &polished.best);
-        SyncComparison {
-            model: model.to_string(),
-            gpus,
-            evals,
-            baseline_best_us: baseline.best_cost_us,
-            zero1_seed_us,
-            synced_best_us: polished.best_cost_us,
-            cost_ratio: polished.best_cost_us / baseline.best_cost_us,
-            baseline_opt_state_peak_bytes: fp_base.peak_opt_state().1,
-            synced_opt_state_peak_bytes: fp_sync.peak_opt_state().1,
-            custom_sync: polished.best.has_custom_param_sync(),
-        }
-    }
-
-    /// The `bench_smoke` cell: gpt_medium (batch 64) on the 64-device
-    /// hierarchical P100 cluster of [`super::sim_scaling`] — the
-    /// data-parallel transformer regime where replicated updates dominate
-    /// and ZeRO-1 has the most room.
-    pub fn gpt_medium_64gpu(evals: u64, seed: u64) -> SyncComparison {
-        compare(
-            "gpt_medium",
-            &zoo::gpt_medium(64),
-            &super::sim_scaling::cluster(64),
-            evals,
-            seed,
-        )
-    }
 
     /// One forced-mode cell of the EXPERIMENTS.md sweep: the data-parallel
     /// strategy with `mode` on every layer.
@@ -1315,7 +305,7 @@ pub mod param_sync_bench {
     /// cluster family.
     pub fn mode_cell(model: &str, gpus: usize, mode: ParamSync) -> ModeCell {
         let graph = zoo::by_name(model, 64);
-        let topo = super::sim_scaling::cluster(gpus);
+        let topo = clusters::hierarchical_cluster(DeviceKind::P100, gpus / 4, 4);
         let cost = MeasuredCostModel::paper_default();
         let dp = Strategy::data_parallel(&graph, &topo).with_param_sync_everywhere(mode);
         let fp = memory::footprint(&graph, &topo, &dp);
@@ -1329,150 +319,17 @@ pub mod param_sync_bench {
     }
 }
 
-/// Workload + measurement helpers for the `memory` benchmark (the
-/// memory-aware-search half of `bench_smoke`, the PR 9 trajectory): can
-/// the budgeted search fit a model that is OOM-infeasible under plain
-/// data parallelism onto the same cluster?
-///
-/// The flip is deterministic, mirroring [`param_sync_bench`]: the
-/// data-parallel strategy's peak per-device memory is checked against the
-/// cluster's hardware budgets (gated **infeasible** — the cell exists
-/// because the model does not fit), then a structural seed — the same
-/// placement with activation recomputation on every op and the optimizer
-/// state ZeRO-1-sharded across the replicas — is polished by a **greedy
-/// budgeted search** with the recompute and sync axes open and the
-/// per-device budget steering acceptance. The `--check` gate demands the
-/// polished winner actually fit (gated **feasible**): memory-aware search
-/// must turn an un-runnable workload into a runnable one, the tentpole
-/// claim of the memory axis.
+/// The `mem_table` sweep: peak per-device memory of data parallelism with
+/// the two memory levers — activation recomputation and ZeRO-1
+/// optimizer-state sharding — toggled, verdicted against the P100's
+/// hardware budget.
 pub mod memory_bench {
     use flexflow_core::memory::{self, MemBudget};
-    use flexflow_core::optimizer::{AcceptanceRule, Budget, SearchRequest};
     use flexflow_core::soap::ParamSync;
     use flexflow_core::strategy::Strategy;
     use flexflow_costmodel::MeasuredCostModel;
-    use flexflow_device::Topology;
-    use flexflow_opgraph::{zoo, OpGraph};
+    use flexflow_opgraph::zoo;
     use serde::Serialize;
-
-    /// Outcome of one OOM-infeasible → feasible flip.
-    #[derive(Debug, Clone, Serialize)]
-    pub struct MemoryComparison {
-        /// Model the flip ran on.
-        pub model: String,
-        /// Devices of the cluster.
-        pub gpus: usize,
-        /// Smallest per-device budget of the cell (bytes).
-        pub budget_bytes: u64,
-        /// Evaluation budget of the polish search.
-        pub evals: u64,
-        /// Peak per-device bytes of plain data parallelism.
-        pub dp_peak_bytes: u64,
-        /// Whether data parallelism fits the budget (gated `false`).
-        pub dp_feasible: bool,
-        /// Peak per-device bytes of the budgeted-search winner.
-        pub fitted_peak_bytes: u64,
-        /// Whether the winner fits the budget (gated `true`).
-        pub fitted_feasible: bool,
-        /// Simulated iteration time of data parallelism (µs) — what the
-        /// model *would* cost if it fit, the flip's reference point.
-        pub dp_cost_us: f64,
-        /// Simulated iteration time of the fitted winner (µs).
-        pub fitted_cost_us: f64,
-        /// `fitted / dp` — the compute price paid for fitting (recompute
-        /// re-runs forward passes; ≥ 1 is expected, not gated).
-        pub slowdown_ratio: f64,
-        /// Ops the winner recomputes.
-        pub recompute_ops: usize,
-        /// Whether the winner departs from all-reduce anywhere.
-        pub custom_sync: bool,
-    }
-
-    /// Runs the flip on one `(graph, topo, budget)` workload.
-    pub fn compare(
-        model: &str,
-        graph: &OpGraph,
-        topo: &Topology,
-        budget: &MemBudget,
-        evals: u64,
-        seed: u64,
-    ) -> MemoryComparison {
-        let cost = MeasuredCostModel::paper_default();
-        let cfg = flexflow_core::SimConfig::default();
-        let gpus = topo.num_devices();
-        let dp = Strategy::data_parallel(graph, topo);
-        let fp_dp = memory::footprint(graph, topo, &dp);
-        let dp_feasible = memory::budget_violation(&fp_dp, topo, budget).is_none();
-
-        // The structural seed: same placement, activations recomputed
-        // everywhere, optimizer state sharded across the replicas — the
-        // two memory levers at their maximum settings.
-        let seeded = dp
-            .clone()
-            .with_recompute_everywhere(true)
-            .with_param_sync_everywhere(ParamSync::ShardedZero1 {
-                shards: gpus as u64,
-            });
-        let polished = SearchRequest::new(seed)
-            .chains(1)
-            .param_sync(true)
-            .recompute(true)
-            .mem_budget(Some(budget.clone()))
-            .acceptance(AcceptanceRule::Greedy)
-            .run_warm(
-                graph,
-                topo,
-                &cost,
-                seeded,
-                Budget {
-                    max_evals: evals,
-                    max_seconds: f64::INFINITY,
-                    patience_fraction: 1.0,
-                },
-                cfg,
-            );
-        let fp_fit = memory::footprint(graph, topo, &polished.best);
-        // Physical simulated costs (never the search's penalized
-        // objective): the flip compares execution times.
-        let dp_cost_us = super::cost_of(graph, topo, &cost, &dp);
-        let fitted_cost_us = super::cost_of(graph, topo, &cost, &polished.best);
-        MemoryComparison {
-            model: model.to_string(),
-            gpus,
-            budget_bytes: topo.device_ids().map(|d| budget.cap(d)).min().unwrap_or(0),
-            evals,
-            dp_peak_bytes: fp_dp.peak_with_state().1,
-            dp_feasible,
-            fitted_peak_bytes: fp_fit.peak_with_state().1,
-            fitted_feasible: memory::budget_violation(&fp_fit, topo, budget).is_none(),
-            dp_cost_us,
-            fitted_cost_us,
-            slowdown_ratio: fitted_cost_us / dp_cost_us,
-            recompute_ops: polished.best.recomputes().iter().filter(|&&on| on).count(),
-            custom_sync: polished.best.has_custom_param_sync(),
-        }
-    }
-
-    /// The `bench_smoke` cell: gpt_medium (batch 64) on the paper's
-    /// 16-GPU P100 cluster under the hardware's own 16 GB budgets.
-    /// Data-parallel gpt_medium stores every layer's activations for the
-    /// whole batch and replicates the Adam state — ~17.7 GB per device,
-    /// past 16 GB — while the recomputing, ZeRO-1-sharded winner fits
-    /// with room to spare (~9.7 GB). On 4 GPUs no lever helps: the
-    /// replicated weights alone overflow, which is why the flip cell
-    /// needs the wider cluster.
-    pub fn gpt_medium_16gpu(evals: u64, seed: u64) -> MemoryComparison {
-        let topo = super::paper_cluster(flexflow_device::DeviceKind::P100, 16);
-        let budget = MemBudget::device_defaults(&topo);
-        compare(
-            "gpt_medium",
-            &zoo::gpt_medium(64),
-            &topo,
-            &budget,
-            evals,
-            seed,
-        )
-    }
 
     /// One row of the EXPERIMENTS.md memory table: the data-parallel
     /// placement with the given memory levers applied everywhere.

@@ -470,6 +470,32 @@ mod tests {
     }
 
     #[test]
+    fn recompute_and_zero1_flip_gpt_medium_on_sixteen_p100s_from_oom_to_fit() {
+        // Data-parallel gpt_medium stores every layer's activations for the
+        // whole batch and replicates the Adam state: ~17.7 GB per device,
+        // past the P100's 16 GB. The same placement with both memory levers
+        // at their maximum (~9.7 GB) fits.
+        let g = zoo::gpt_medium(64);
+        let topo = clusters::paper_cluster(DeviceKind::P100, 16);
+        let budget = MemBudget::device_defaults(&topo);
+        let dp = Strategy::data_parallel(&g, &topo);
+        let fp_dp = footprint(&g, &topo, &dp);
+        assert!(
+            budget_violation(&fp_dp, &topo, &budget).is_some(),
+            "data parallelism fits at {} bytes",
+            fp_dp.peak_with_state().1
+        );
+        let levers = dp
+            .with_recompute_everywhere(true)
+            .with_param_sync_everywhere(ParamSync::ShardedZero1 { shards: 16 });
+        let fp = footprint(&g, &topo, &levers);
+        assert_eq!(
+            budget_violation(&fp, &topo, &budget).map(|v| v.to_string()),
+            None
+        );
+    }
+
+    #[test]
     fn param_server_concentrates_optimizer_state() {
         let g = zoo::lenet(64);
         let topo = clusters::uniform_cluster(1, 4, 16.0, 4.0);

@@ -415,6 +415,57 @@ fn last_op_proposal_dequeues_under_a_sixteenth_of_the_tasks() {
 }
 
 #[test]
+fn dequeued_per_capped_proposal_grows_under_2_2x_per_device_doubling() {
+    // A proposal costs the tasks its resumed sweep dequeues, so delta
+    // evaluation stays affordable as the cluster doubles from 16 to 64 to
+    // 256 devices (4-GPU P100 islands on an IB spine) only if that count
+    // grows less than 2.2x per doubling. Proposal degrees are capped at 16
+    // tasks, as the search's random candidates are on big clusters, so the
+    // cells differ only in cluster size; each must also re-sweep less than
+    // its whole graph.
+    const DEGREE_CAP: u64 = 16;
+    const PROPOSALS: u64 = 20;
+    let g = zoo::gpt_small(64);
+    let cost = MeasuredCostModel::paper_default();
+    let searchable = Strategy::searchable_ops(&g);
+    let mut cells = Vec::new();
+    for gpus in [16usize, 64, 256] {
+        let topo = clusters::hierarchical_cluster(DeviceKind::P100, gpus / 4, 4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let s =
+            Strategy::random_with_max_degree(&g, &topo, ConfigSpace::Full, DEGREE_CAP, &mut rng);
+        let mut sim = Simulator::new(&g, &topo, &cost, SimConfig::default(), s);
+        for _ in 0..PROPOSALS {
+            let op = searchable[rng.gen_range(0..searchable.len())];
+            let config = soap::random_config_capped(
+                g.op(op),
+                &topo,
+                ConfigSpace::Full,
+                DEGREE_CAP,
+                &mut rng,
+            );
+            sim.apply(op, config);
+            sim.rollback();
+        }
+        let mean = sim.telemetry().dequeued as f64 / PROPOSALS as f64;
+        let tasks = sim.task_graph().num_tasks() as f64;
+        assert!(
+            mean < tasks,
+            "{gpus} devices: {mean} dequeued per proposal of {tasks} tasks"
+        );
+        cells.push((gpus, mean));
+    }
+    for pair in cells.windows(2) {
+        let ((ga, a), (gb, b)) = (pair[0], pair[1]);
+        let growth = (b / a).powf(1.0 / (gb as f64 / ga as f64).log2());
+        assert!(
+            growth < 2.2,
+            "{ga} -> {gb} devices: {growth:.3}x per doubling"
+        );
+    }
+}
+
+#[test]
 fn four_island_walk_with_commits_and_rollbacks_interleaved_stays_exact() {
     // Random proposals, kept or rolled back at random, so resumed sweeps
     // keep starting from timelines other resumed sweeps and swap-backs

@@ -702,8 +702,7 @@ impl Server {
     /// Batch ("oneshot") mode: reads every request line from `input`,
     /// fans the parsed jobs across the worker pool, and writes one
     /// response line per request **in input order**. Used by
-    /// `flexflow serve --oneshot`, the CLI smoke tests, and the
-    /// `serve_throughput` benchmark.
+    /// `flexflow serve --oneshot` and the CLI smoke tests.
     ///
     /// # Errors
     ///

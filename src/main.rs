@@ -182,7 +182,37 @@ fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 20) as f64
 }
 
-fn parse(args: &[String]) -> Option<Options> {
+/// The flags `search` reads. `parse` rejects any other flag, even one
+/// another subcommand defines.
+const SEARCH_FLAGS: &[&str] = &[
+    "--gpus",
+    "--cluster",
+    "--evals",
+    "--seed",
+    "--out",
+    "--chains",
+    "--exchange-every",
+    "--microbatches",
+    "--param-sync",
+    "--recompute",
+    "--mem-budget",
+    "--warm",
+    "--verbose",
+];
+/// The flags `simulate` reads.
+const SIMULATE_FLAGS: &[&str] = &[
+    "--gpus",
+    "--cluster",
+    "--strategy",
+    "--microbatches",
+    "--param-sync",
+    "--recompute",
+    "--mem-budget",
+];
+/// The flags `baselines` reads.
+const BASELINES_FLAGS: &[&str] = &["--gpus", "--cluster"];
+
+fn parse(cmd: &str, flags: &[&str], args: &[String]) -> Option<Options> {
     let mut o = Options {
         model: args.first()?.clone(),
         gpus: 4,
@@ -203,16 +233,21 @@ fn parse(args: &[String]) -> Option<Options> {
     let mut gpus_given = false;
     let mut rest = args[1..].iter();
     while let Some(key) = rest.next() {
-        if key == "--verbose" {
-            o.verbose = true;
-            continue;
-        }
         if !key.starts_with("--") {
             eprintln!("unexpected argument {key:?}");
             return None;
         }
-        // Every other flag takes a value. The arms below are the flags the
-        // CLI defines; anything else is a typo the run must not survive.
+        // A flag the subcommand does not read is a typo or a mistake the
+        // run must not survive.
+        if !flags.contains(&key.as_str()) {
+            eprintln!("unknown flag {key:?} for {cmd}");
+            return None;
+        }
+        if key == "--verbose" {
+            o.verbose = true;
+            continue;
+        }
+        // Every other flag takes a value.
         let mut value = || {
             let v = rest.next();
             if v.is_none() {
@@ -294,10 +329,7 @@ fn parse(args: &[String]) -> Option<Options> {
             "--out" => o.out = Some(value()?.clone()),
             "--strategy" => o.strategy = Some(value()?.clone()),
             "--warm" => o.warm = Some(value()?.clone()),
-            _ => {
-                eprintln!("unknown flag {key:?}");
-                return None;
-            }
+            _ => unreachable!("{key} is in a flag set but has no arm"),
         }
     }
     // Anything but a flat kind must be a hierarchical preset, which fixes
@@ -518,7 +550,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "search" => {
-            let Some(o) = parse(&args[1..]) else {
+            let Some(o) = parse(cmd, SEARCH_FLAGS, &args[1..]) else {
                 return usage();
             };
             let (graph, topo) = match build(&o) {
@@ -699,7 +731,7 @@ fn main() -> ExitCode {
             }
         }
         "simulate" => {
-            let Some(o) = parse(&args[1..]) else {
+            let Some(o) = parse(cmd, SIMULATE_FLAGS, &args[1..]) else {
                 return usage();
             };
             let (graph, topo) = match build(&o) {
@@ -789,7 +821,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "baselines" => {
-            let Some(o) = parse(&args[1..]) else {
+            let Some(o) = parse(cmd, BASELINES_FLAGS, &args[1..]) else {
                 return usage();
             };
             let (graph, topo) = match build(&o) {

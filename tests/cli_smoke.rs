@@ -420,6 +420,16 @@ fn unknown_and_value_less_flags_are_rejected_with_usage() {
         "--strategy needs a value",
     );
     rejects(&["search", "lenet", "--evals"], "--evals needs a value");
+    // A flag another subcommand defines is just as unknown: simulate used
+    // to accept --evals and ignore it.
+    rejects(
+        &["simulate", "lenet", "--evals", "5"],
+        "unknown flag \"--evals\" for simulate",
+    );
+    rejects(
+        &["baselines", "lenet", "--seed", "1"],
+        "unknown flag \"--seed\" for baselines",
+    );
 }
 
 #[test]
